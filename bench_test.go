@@ -238,7 +238,7 @@ func benchParallel(b *testing.B, workers int) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	fleet.Run(b.N)
+	fleet.Drive(nil, core.Budget{Execs: b.N}, nil)
 	b.StopTimer()
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(fleet.Stats().Execs)/secs, "execs/s")

@@ -45,6 +45,18 @@ func newCheckpointCampaign(tb testing.TB, target string, workers int, adaptive, 
 	return c
 }
 
+// runTo runs one blocking session of c to execs total executions.
+func runTo(tb testing.TB, c *peachstar.Campaign, execs int) {
+	tb.Helper()
+	r, err := c.Start(context.Background(), peachstar.RunConfig{Execs: execs})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := r.Wait(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 // TestCheckpointRoundTripGolden pins the canonical-encoding half of the
 // checkpoint contract, across every stateful layer at once: checkpoint →
 // restore into a fresh campaign → checkpoint again must reproduce the
@@ -70,7 +82,7 @@ func TestCheckpointRoundTripGolden(t *testing.T) {
 			first, second := filepath.Join(dir, "a.ckpt"), filepath.Join(dir, "b.ckpt")
 
 			orig := newCheckpointCampaign(t, tc.target, tc.workers, tc.adaptive, tc.sessions)
-			orig.Run(20000)
+			runTo(t, orig, 20000)
 			if err := orig.Checkpoint(first); err != nil {
 				t.Fatal(err)
 			}
@@ -126,10 +138,10 @@ func TestCheckpointWarmRestartContinuesExactly(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "mid.ckpt")
 
 			straight := newCheckpointCampaign(t, tc.target, 1, tc.adaptive, tc.sessions)
-			straight.Run(30000)
+			runTo(t, straight, 30000)
 
 			interrupted := newCheckpointCampaign(t, tc.target, 1, tc.adaptive, tc.sessions)
-			interrupted.Run(15000)
+			runTo(t, interrupted, 15000)
 			if err := interrupted.Checkpoint(path); err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +150,7 @@ func TestCheckpointWarmRestartContinuesExactly(t *testing.T) {
 			if err := resumed.RestoreCheckpoint(path); err != nil {
 				t.Fatal(err)
 			}
-			resumed.Run(30000) // absolute budget: spends only the remainder
+			runTo(t, resumed, 30000) // absolute budget: spends only the remainder
 
 			if got, want := resumed.Stats(), straight.Stats(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("warm restart diverged from the uninterrupted campaign:\n got %+v\nwant %+v", got, want)
@@ -159,10 +171,10 @@ func TestCheckpointAllTargetsWarmRestart(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "mid.ckpt")
 
 			straight := newCheckpointCampaign(t, name, 1, true, false)
-			straight.Run(12000)
+			runTo(t, straight, 12000)
 
 			interrupted := newCheckpointCampaign(t, name, 1, true, false)
-			interrupted.Run(6000)
+			runTo(t, interrupted, 6000)
 			if err := interrupted.Checkpoint(path); err != nil {
 				t.Fatal(err)
 			}
@@ -171,7 +183,7 @@ func TestCheckpointAllTargetsWarmRestart(t *testing.T) {
 			if err := resumed.RestoreCheckpoint(path); err != nil {
 				t.Fatal(err)
 			}
-			resumed.Run(12000)
+			runTo(t, resumed, 12000)
 
 			if got, want := resumed.Stats(), straight.Stats(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("warm restart diverged:\n got %+v\nwant %+v", got, want)
@@ -186,7 +198,7 @@ func TestCheckpointAllTargetsWarmRestart(t *testing.T) {
 func TestCheckpointDigestMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "modbus.ckpt")
 	donor := newCheckpointCampaign(t, "libmodbus", 1, false, false)
-	donor.Run(5000)
+	runTo(t, donor, 5000)
 	if err := donor.Checkpoint(path); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +213,7 @@ func TestCheckpointDigestMismatch(t *testing.T) {
 func TestCheckpointWorkerMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fleet.ckpt")
 	donor := newCheckpointCampaign(t, "libmodbus", 2, false, false)
-	donor.Run(4000)
+	runTo(t, donor, 4000)
 	if err := donor.Checkpoint(path); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +230,7 @@ func TestCheckpointCorruptRejected(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "good.ckpt")
 	donor := newCheckpointCampaign(t, "libmodbus", 1, true, false)
-	donor.Run(5000)
+	runTo(t, donor, 5000)
 	if err := donor.Checkpoint(path); err != nil {
 		t.Fatal(err)
 	}

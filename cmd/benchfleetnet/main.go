@@ -88,8 +88,11 @@ func main() {
 
 	// Warm up: build coverage and corpus so measured windows carry the
 	// trickle of novelty a long campaign's windows do, not cold-start floods.
-	if err := leaf.Run(*warmup, *window); err != nil {
-		die(err)
+	for fleet.Execs() < *warmup {
+		fleet.Drive(nil, core.Budget{Execs: min(fleet.Execs()+*window, *warmup)}, nil)
+		if err := leaf.Sync(); err != nil {
+			die(err)
+		}
 	}
 
 	// Steady windows: window execs of fuzzing, then one sync.
@@ -97,7 +100,7 @@ func main() {
 	var fuzzTotal, syncTotal, syncMax time.Duration
 	for i := 0; i < *windows; i++ {
 		start := time.Now()
-		fleet.Run(fleet.Execs() + *window)
+		fleet.Drive(nil, core.Budget{Execs: fleet.Execs() + *window}, nil)
 		fuzzTotal += time.Since(start)
 		start = time.Now()
 		if err := leaf.Sync(); err != nil {
@@ -231,7 +234,7 @@ func benchMesh(windows, window, warmup int, seed uint64) {
 	perNode := warmup / nodes
 	for done := 0; done < perNode; done += window {
 		for i, m := range meshes {
-			fleets[i].Run(fleets[i].Execs() + window)
+			fleets[i].Drive(nil, core.Budget{Execs: fleets[i].Execs() + window}, nil)
 			if err := m.Sync(); err != nil {
 				die(err)
 			}
@@ -249,7 +252,7 @@ func benchMesh(windows, window, warmup int, seed uint64) {
 	for w := 0; w < windows; w++ {
 		for i, m := range meshes {
 			start := time.Now()
-			fleets[i].Run(fleets[i].Execs() + window)
+			fleets[i].Drive(nil, core.Budget{Execs: fleets[i].Execs() + window}, nil)
 			fuzzTotal += time.Since(start)
 			start = time.Now()
 			if err := m.Sync(); err != nil {

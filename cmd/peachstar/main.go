@@ -1,10 +1,11 @@
 // Command peachstar fuzzes one of the built-in ICS protocol targets with
 // either the baseline Peach strategy or the full Peach* strategy, printing
 // live progress from the campaign's event stream and any unique crashes
-// found. It can also take part in a distributed fleet: -serve makes this
-// node a sync hub, -connect makes it a leaf of one, and -mesh makes it a
-// hub-less mesh node that both accepts peers and uplinks to them (see the
-// README's "Distributed campaigns" and "Mesh campaigns" sections).
+// found. It can also take part in a distributed fleet as a mesh node:
+// -mesh makes it a node that both accepts peers and uplinks to them, and
+// -serve and -connect are aliases for the two shapes of a star fleet — a
+// hub (listens, no peers) and a leaf (dials one hub, listens for nothing).
+// See the README's "Distributed campaigns" section.
 //
 // The command is built on the session API: one Campaign.Start call with
 // the budget and the attachments, events consumed as they stream, SIGINT
@@ -51,12 +52,12 @@ func main() {
 		report     = flag.Int("report", 10, "number of progress reports when -stats-every is 0")
 		statsEvery = flag.Int("stats-every", 0, "executions between live stats lines (0: derive from -report)")
 		workers    = flag.Int("workers", 1, "parallel worker engines sharing the exec budget")
-		serve      = flag.String("serve", "", "serve fleet sync to remote leaves on this host:port (hub node)")
-		connect    = flag.String("connect", "", "sync with the fleet hub at this host:port (leaf node)")
+		serve      = flag.String("serve", "", "serve fleet sync to remote leaves on this host:port (hub: a mesh node with no peers)")
+		connect    = flag.String("connect", "", "sync with the fleet hub at this host:port (leaf: a dial-only mesh node)")
 		mesh       = flag.String("mesh", "", "join a hub-less mesh fleet, accepting peers on this host:port (mesh node)")
 		peers      = flag.String("peers", "", "comma-separated bootstrap peer addresses (with -mesh; one live address is enough)")
 		advertise  = flag.String("advertise", "", "externally dialable address peers should reach this node at (with -mesh; default: the bound -mesh address)")
-		syncEvery  = flag.Int("sync-every", 1024, "executions between fleet syncs (with -connect or -mesh)")
+		syncEvery  = flag.Int("sync-every", 1024, "executions between fleet syncs (with -serve, -connect or -mesh)")
 		seedStream = flag.Int("seed-stream", 0, "RNG stream offset for this node's workers; give each leaf a disjoint range")
 		adaptive   = flag.Bool("adaptive", false, "enable the adaptive scheduler (learned mutator weights, rarity-weighted seeds, corpus distillation)")
 		sessions   = flag.Bool("sessions", false, "fuzz stateful message sequences through the target's session state machine instead of independent packets (target must publish a state model)")
@@ -156,58 +157,48 @@ func main() {
 		}
 	}
 
-	// Attachments: a hub and a mesh node are created as campaign-level
-	// handles (they span the fuzzing session and the serve phase after
-	// it); the leaf handle additionally feeds fleet-wide figures into the
-	// progress lines.
-	var attach []peachstar.Attachment
-	var hub *peachstar.SyncServer
-	if *serve != "" {
-		hub, err = campaign.ServeSync(*serve)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer hub.Close()
-		fmt.Printf("serving fleet sync on %s\n", hub.Addr())
-	}
-	var leaf *peachstar.SyncLeaf
-	if *connect != "" {
-		leaf, err = campaign.DialSync(*connect)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer leaf.Close()
-		attach = append(attach, leaf.Attachment())
-		fmt.Printf("syncing with fleet hub at %s (every %d execs)\n", *connect, *syncEvery)
-	}
-	var mnode *peachstar.MeshNode
-	if *mesh != "" {
+	// -serve, -connect and -mesh all build one mesh node, created as a
+	// campaign-level handle: it spans the fuzzing session and, for a node
+	// that listens, the serve phase after it.
+	var nodeOpts *peachstar.MeshOptions
+	switch {
+	case *serve != "":
+		nodeOpts = &peachstar.MeshOptions{Listen: *serve}
+	case *connect != "":
+		nodeOpts = &peachstar.MeshOptions{Peers: []string{*connect}, StaticOnly: true}
+	case *mesh != "":
 		var peerList []string
 		for _, p := range strings.Split(*peers, ",") {
 			if p = strings.TrimSpace(p); p != "" {
 				peerList = append(peerList, p)
 			}
 		}
-		mnode, err = campaign.JoinMesh(peachstar.MeshOptions{
-			Listen:    *mesh,
-			Peers:     peerList,
-			Advertise: *advertise,
-		})
+		nodeOpts = &peachstar.MeshOptions{Listen: *mesh, Peers: peerList, Advertise: *advertise}
+	}
+	var attach []peachstar.Attachment
+	var mnode *peachstar.MeshNode
+	if nodeOpts != nil {
+		mnode, err = campaign.JoinMesh(*nodeOpts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 		defer mnode.Close()
 		attach = append(attach, mnode.Attachment())
-		fmt.Printf("mesh node on %s (%d bootstrap peers, syncing every %d execs)\n",
-			mnode.Addr(), len(peerList), *syncEvery)
+		switch {
+		case *serve != "":
+			fmt.Printf("serving fleet sync on %s\n", mnode.Addr())
+		case *connect != "":
+			fmt.Printf("syncing with fleet hub at %s (every %d execs)\n", *connect, *syncEvery)
+		default:
+			fmt.Printf("mesh node on %s (%d bootstrap peers, syncing every %d execs)\n",
+				mnode.Addr(), len(nodeOpts.Peers), *syncEvery)
+		}
 	}
 
 	// SIGINT → graceful Stop of whichever session is live — and no
-	// further phases: an interrupt during the fuzzing phase of a hub or
-	// mesh node must fall through to the final stats, not into the
+	// further phases: an interrupt during the fuzzing phase of a
+	// listening node must fall through to the final stats, not into the
 	// serve-forever phase. A second SIGINT exits hard. The mutex makes
 	// "interrupted" and "which run is live" one atomic state, so a
 	// signal can never slip between phases unobserved.
@@ -306,20 +297,20 @@ func main() {
 					case <-r.Done():
 						return
 					case <-t.C:
-						printStatsLine(r.Snapshot(), leaf, mnode, hub, start)
+						printStatsLine(r.Snapshot(), mnode, start)
 					}
 				}
 			}()
 		}
-		printEvents(r, leaf, mnode, hub, start)
+		printEvents(r, mnode, start)
 		if err := r.Wait(); err != nil {
 			fmt.Fprintf(os.Stderr, "session ended with: %v\n", err)
 		}
 	}
 
-	if (hub != nil || mnode != nil) && keepServing() {
-		// Hub and mesh nodes outlive their own budget: keep serving (and,
-		// for a mesh node, relaying between peers) until interrupted. A
+	if mnode != nil && mnode.Addr() != "" && keepServing() {
+		// A node that listens (-serve, -mesh) outlives its own budget:
+		// keep serving and relaying between peers until interrupted. A
 		// node with -execs 0 is a pure relay.
 		fmt.Println("local budget spent; serving fleet sync until interrupted (Ctrl-C)")
 		r, err := campaign.Start(context.Background(), peachstar.RunConfig{
@@ -333,7 +324,7 @@ func main() {
 			os.Exit(2)
 		}
 		if beginPhase(r) {
-			printEvents(r, leaf, mnode, hub, start)
+			printEvents(r, mnode, start)
 		}
 		if err := r.Wait(); err != nil {
 			fmt.Fprintf(os.Stderr, "serve session ended with: %v\n", err)
@@ -371,11 +362,11 @@ func main() {
 // printEvents consumes one session's event stream to the terminal: a
 // progress line per StatsEvent, a discovery line per crash, sync failures
 // as they happen. It returns when the session ends and the stream closes.
-func printEvents(r *peachstar.Run, leaf *peachstar.SyncLeaf, mnode *peachstar.MeshNode, hub *peachstar.SyncServer, start time.Time) {
+func printEvents(r *peachstar.Run, mnode *peachstar.MeshNode, start time.Time) {
 	for ev := range r.Events() {
 		switch ev := ev.(type) {
 		case peachstar.StatsEvent:
-			printStatsLine(ev.Stats, leaf, mnode, hub, start)
+			printStatsLine(ev.Stats, mnode, start)
 		case peachstar.CrashEvent:
 			fmt.Printf("%8.1fs  NEW CRASH: %s at %s (worker %d)\n  packet: %x\n",
 				time.Since(start).Seconds(), ev.Record.Kind, ev.Record.Site, ev.Worker, ev.Record.Example)
@@ -387,7 +378,7 @@ func printEvents(r *peachstar.Run, leaf *peachstar.SyncLeaf, mnode *peachstar.Me
 				time.Since(start).Seconds(), ev.Worker, ev.SeedsKept, ev.SeedsKept+ev.SeedsDropped, ev.Edges, ev.PuzzlesDropped)
 		case peachstar.SyncWindowEvent:
 			if ev.Err != nil {
-				fmt.Fprintf(os.Stderr, "sync %s %s: %v (continuing locally)\n", ev.Attachment, ev.Addr, ev.Err)
+				fmt.Fprintf(os.Stderr, "mesh sync: %v (continuing locally)\n", ev.Err)
 			}
 		case peachstar.CheckpointEvent:
 			if ev.Err != nil {
@@ -398,23 +389,14 @@ func printEvents(r *peachstar.Run, leaf *peachstar.SyncLeaf, mnode *peachstar.Me
 }
 
 // printStatsLine renders one progress line from a snapshot, with the
-// fleet-, mesh-, or hub-side figures appended when those handles exist.
-func printStatsLine(s peachstar.Stats, leaf *peachstar.SyncLeaf, mnode *peachstar.MeshNode, hub *peachstar.SyncServer, start time.Time) {
+// mesh node's link figures appended when the node exists.
+func printStatsLine(s peachstar.Stats, mnode *peachstar.MeshNode, start time.Time) {
 	line := fmt.Sprintf("%8.1fs  execs %8d  paths %5d  edges %5d  crashes %3d  corpus %5d",
 		time.Since(start).Seconds(), s.Execs, s.Paths, s.Edges, s.UniqueCrashes, s.CorpusPuzzles)
-	if leaf != nil {
-		if fexecs, fedges, nodes, ok := leaf.FleetStats(); ok {
-			line += fmt.Sprintf("  | fleet execs %8d  edges %5d  leaves %2d", fexecs, fedges, nodes)
-		}
-	}
 	if mnode != nil {
 		uplinks, inbound, known := mnode.PeerStats()
 		line += fmt.Sprintf("  | mesh %d up/%d in of %d known, +%d remote execs",
 			uplinks, inbound, known, mnode.RemoteExecs())
-	}
-	if hub != nil {
-		rexecs, _, connected := hub.RemoteStats()
-		line += fmt.Sprintf("  | +%d remote execs, %d leaves", rexecs, connected)
 	}
 	fmt.Println(line)
 }

@@ -9,29 +9,28 @@ import (
 )
 
 // This file is the step-driven campaign driver: the one loop every
-// execution topology — serial, sharded-parallel, hub leaf, gossip mesh —
-// advances a Fleet through. Where the original Run/RunUntil methods ran to
-// completion and could only be observed after the fact, Drive checks for
-// cancellation and reports progress at merge-window granularity, which is
-// what the public session API (peachstar.Campaign.Start) builds on.
+// execution topology — serial, sharded-parallel, mesh-synced — advances a
+// Fleet through. Drive checks for cancellation and reports progress at
+// merge-window granularity, which is what the public session API
+// (peachstar.Campaign.Start) builds on.
 //
 // Determinism contract: the driver only *observes* at window boundaries.
-// The sequence of engine steps — and therefore the fuzzing streams, the
-// coverage, the corpus and the crashes — is bit-for-bit identical to the
-// original run-to-completion loops for the same budget, as long as the run
-// is not stopped early. Hooks read state; they never feed anything back
-// into the workers.
+// On a single-worker fleet the sequence of engine steps — and therefore
+// the fuzzing stream, the coverage, the corpus and the crashes — is
+// bit-for-bit identical to the serial Engine.Run for the same budget, as
+// long as the run is not stopped early. Hooks read state; they never feed
+// anything back into the workers.
 
 // Budget bounds one driven run. Zero values mean "unbounded": a Budget
 // with neither an exec target nor a deadline runs until the stop channel
 // closes (callers must supply one in that case, or Drive never returns).
 type Budget struct {
-	// Execs is the total fleet execution target, in the same absolute
-	// "at least this many campaign executions" terms Run used; 0 means no
+	// Execs is the total fleet execution target, in absolute "at least
+	// this many campaign executions" terms (Engine.Run's); 0 means no
 	// execution bound.
 	Execs int
-	// Deadline is the wall-clock bound, checked before every engine step
-	// exactly like RunUntil checked it; the zero time means no deadline.
+	// Deadline is the wall-clock bound, checked before every engine step;
+	// the zero time means no deadline.
 	Deadline time.Time
 }
 
@@ -70,7 +69,7 @@ type WindowInfo struct {
 // WindowHook observes one completed merge window. It is called on worker
 // goroutines — several may fire concurrently on a multi-worker fleet — so
 // implementations must be safe for concurrent use, and must not call back
-// into the Fleet's non-concurrent methods (Stats, Run, Drive). Keep hooks
+// into the Fleet's non-concurrent methods (Stats, Drive). Keep hooks
 // fast: the worker does not fuzz while its hook runs.
 type WindowHook func(WindowInfo)
 
@@ -89,9 +88,9 @@ func stopped(stop <-chan struct{}) bool {
 }
 
 // Drive advances the fleet until the budget is spent or the stop channel
-// closes, whichever comes first. It is the engine room under Run and
-// RunUntil (which pass a nil stop and hook) and under the public session
-// API (which passes both). Cancellation is checked at merge-window
+// closes, whichever comes first. It is the one fleet run loop: tests and
+// benches pass a nil stop and hook, the public session API passes both.
+// Cancellation is checked at merge-window
 // granularity — a stopped fleet finishes its in-flight windows, syncs
 // them, and returns, so no discovered state is ever abandoned — and the
 // hook, when non-nil, observes every completed window.
@@ -118,8 +117,7 @@ func (f *Fleet) Drive(stop <-chan struct{}, b Budget, hook WindowHook) {
 }
 
 // shardTargets splits the remaining exec budget evenly across workers and
-// returns each worker's absolute target, exactly as Run always sharded
-// it. With no exec bound every target is -1 (unbounded) — the sentinel
+// returns each worker's absolute target. With no exec bound every target is -1 (unbounded) — the sentinel
 // must not be 0, because a fresh worker handed a zero shard legitimately
 // has the absolute target 0 and must do nothing, not fuzz forever.
 func (f *Fleet) shardTargets(execBudget int) []int {
@@ -151,8 +149,7 @@ func (f *Fleet) shardTargets(execBudget int) []int {
 // exec target, the deadline, and the stop channel. target is the
 // worker's absolute exec target (-1 = unbounded); a target at or below
 // the current count means "no budget left" and the worker returns
-// without fuzzing or syncing, matching the original Run's skip of
-// zero-shard workers.
+// without fuzzing or syncing (a zero-shard worker).
 func (f *Fleet) driveWorker(stop <-chan struct{}, w *Engine, i, target int, deadline time.Time, hook WindowHook) {
 	hasTarget := target >= 0
 	hasDeadline := !deadline.IsZero()

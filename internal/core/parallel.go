@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/coverage"
@@ -52,10 +51,10 @@ type ParallelConfig struct {
 // Fleet is one fuzzing campaign sharded across parallel worker engines. A
 // single-worker Fleet is bit-for-bit identical to the serial Engine with the
 // same Config: worker 0 keeps the campaign seed (rng.Split stream 0) and the
-// single-worker Run path performs no sync operations.
+// single-worker Drive path performs no sync operations.
 //
-// Run blocks until the budget is spent; Stats, Crashes and Corpus must not
-// be called concurrently with Run.
+// Drive blocks until the budget is spent; Stats, Crashes and Corpus must
+// not be called concurrently with Drive.
 type Fleet struct {
 	workers []*Engine
 	peers   []*workerPeer
@@ -223,9 +222,9 @@ func (f *Fleet) State() *SyncState { return f.state }
 // concurrent peers of the shared state. Network leaves call it to flush
 // worker discoveries into the shared state before an uplink exchange (and
 // to fold freshly arrived remote state back out): the single-worker
-// Run/RunUntil paths never sync on their own, preserving their bit-for-bit
+// Drive path never syncs on its own, preserving its bit-for-bit
 // equivalence with the serial engine, so the flush must be explicit. Must
-// not be called while Run is in flight.
+// not be called while Drive is in flight.
 func (f *Fleet) SyncAll() {
 	for _, p := range f.peers {
 		f.state.Exchange(p)
@@ -262,7 +261,7 @@ func (f *Fleet) ExecError() error {
 // Execs returns the total executions performed so far — the budget
 // arithmetic accessor. Unlike Stats it merges nothing, so driving loops can
 // call it every slice without touching the shared state. Like Stats it must
-// not race with Run; concurrent observers use ExecsApprox.
+// not race with Drive; concurrent observers use ExecsApprox.
 func (f *Fleet) Execs() int {
 	total := 0
 	for _, w := range f.workers {
@@ -273,11 +272,11 @@ func (f *Fleet) Execs() int {
 
 // ExecsApprox returns the fleet's total executions as of each worker's
 // latest sync window. Unlike Execs it is safe to call from any goroutine
-// while Run is in flight — a fleetnet hub or mesh node reports local
+// while Drive is in flight — a fleetnet mesh node reports local
 // progress to remote peers from connection-handler goroutines through it.
 // The figure lags the live counters by at most one merge window during a
-// multi-worker Run (and by the whole run for a sync-free single-worker
-// Run) and is exact whenever the fleet is idle.
+// multi-worker Drive (and by the whole run for a sync-free single-worker
+// Drive) and is exact whenever the fleet is idle.
 func (f *Fleet) ExecsApprox() int {
 	total := 0
 	for _, p := range f.peers {
@@ -287,7 +286,7 @@ func (f *Fleet) ExecsApprox() int {
 }
 
 // publishExecs refreshes every worker's published counter; called when the
-// workers are quiescent (end of Run/RunUntil).
+// workers are quiescent (end of Drive).
 func (f *Fleet) publishExecs() {
 	for i, w := range f.workers {
 		atomic.StoreInt64(&f.peers[i].execsPub, int64(w.stats.Execs))
@@ -296,34 +295,8 @@ func (f *Fleet) publishExecs() {
 
 // Step performs one iteration on worker 0 and returns how many executions it
 // spent — the fine-grained sampling hook the harness uses. For multi-worker
-// fleets it advances only worker 0; use Run to drive the whole fleet.
+// fleets it advances only worker 0; use Drive to advance the whole fleet.
 func (f *Fleet) Step() int { return f.workers[0].Step() }
-
-// Run fuzzes until at least execBudget total executions have been performed,
-// sharding the remaining budget evenly across the workers. It may be called
-// repeatedly to extend a campaign. With one worker it is the serial
-// Engine.Run, sync-free and bit-for-bit reproducible against it. Run is
-// Drive with no cancellation and no observer; see driver.go for the loop.
-func (f *Fleet) Run(execBudget int) {
-	if execBudget <= 0 {
-		return // a zero Budget.Execs would mean "unbounded", not "spent"
-	}
-	f.Drive(nil, Budget{Execs: execBudget}, nil)
-}
-
-// RunUntil fuzzes until the wall-clock deadline, checking it inside each
-// worker's loop: a worker stops within one engine iteration of the deadline
-// instead of finishing out a fixed merge window, so duration-budgeted
-// campaigns land on their budget tightly. In multi-worker mode every worker
-// performs a final sync before returning; the single-worker path never
-// syncs (matching Run), which is why Stats, Corpus and Crashes read the
-// lone engine directly rather than the shared state.
-func (f *Fleet) RunUntil(deadline time.Time) {
-	if deadline.IsZero() {
-		return // a zero Budget.Deadline would mean "no deadline"
-	}
-	f.Drive(nil, Budget{Deadline: deadline}, nil)
-}
 
 // Stats aggregates the campaign snapshot across workers: execution and path
 // counters are summed, coverage is the size of the merged union map, crash

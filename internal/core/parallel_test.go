@@ -30,13 +30,13 @@ func newFleet(t *testing.T, workers, budgetPerSync int, seed uint64) *Fleet {
 // TestParallelWorkers1MatchesSerial is the bit-for-bit guarantee: a
 // single-worker fleet reproduces the serial engine exactly — same stats,
 // same crashes, same corpus — because worker 0 keeps the campaign seed and
-// the one-worker Run path performs no sync operations.
+// the one-worker Drive path performs no sync operations.
 func TestParallelWorkers1MatchesSerial(t *testing.T) {
 	serial := newEngine(t, StrategyPeachStar, 42)
 	serial.Run(5000)
 
 	fleet := newFleet(t, 1, 0, 42)
-	fleet.Run(5000)
+	fleet.Drive(nil, Budget{Execs: 5000}, nil)
 
 	if got, want := fleet.Stats(), serial.Stats(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("fleet(1) stats = %+v, serial stats = %+v", got, want)
@@ -61,7 +61,7 @@ func TestParallelWorkers1MatchesSerial(t *testing.T) {
 func TestParallelShardsBudget(t *testing.T) {
 	const budget = 6000
 	f := newFleet(t, 4, 128, 7)
-	f.Run(budget)
+	f.Drive(nil, Budget{Execs: budget}, nil)
 
 	s := f.Stats()
 	if s.Execs < budget {
@@ -91,7 +91,7 @@ func TestParallelShardsBudget(t *testing.T) {
 // one unique vulnerability no matter how many workers trip it.
 func TestParallelCrashDedup(t *testing.T) {
 	f := newFleet(t, 4, 128, 1)
-	f.Run(20000)
+	f.Drive(nil, Budget{Execs: 20000}, nil)
 
 	found := 0
 	for _, w := range f.workers {
@@ -113,7 +113,7 @@ func TestParallelCrashDedup(t *testing.T) {
 // contributed and the shared map is the union of all.
 func TestParallelCoverageExchange(t *testing.T) {
 	f := newFleet(t, 3, 64, 9)
-	f.Run(3000)
+	f.Drive(nil, Budget{Execs: 3000}, nil)
 	_ = f.Stats() // folds final worker state into the shared union
 
 	shared := f.state.Edges()
@@ -124,20 +124,20 @@ func TestParallelCoverageExchange(t *testing.T) {
 	}
 }
 
-// TestParallelRunExtends: Run may be called repeatedly to extend a
+// TestParallelRunExtends: Drive may be called repeatedly to extend a
 // campaign, and a second call with a spent budget is a no-op.
 func TestParallelRunExtends(t *testing.T) {
 	f := newFleet(t, 2, 64, 3)
-	f.Run(1000)
+	f.Drive(nil, Budget{Execs: 1000}, nil)
 	first := f.Stats().Execs
 	if first < 1000 {
 		t.Fatalf("first run execs = %d, want >= 1000", first)
 	}
-	f.Run(first) // already spent: no-op
+	f.Drive(nil, Budget{Execs: first}, nil) // already spent: no-op
 	if got := f.Stats().Execs; got != first {
 		t.Fatalf("no-op run advanced execs %d -> %d", first, got)
 	}
-	f.Run(first + 1000)
+	f.Drive(nil, Budget{Execs: first + 1000}, nil)
 	if got := f.Stats().Execs; got < first+1000 {
 		t.Fatalf("extended run execs = %d, want >= %d", got, first+1000)
 	}
@@ -171,14 +171,14 @@ func TestParallelWorkerStreamsDiverge(t *testing.T) {
 	}
 }
 
-// TestRunUntilStopsAtDeadline checks the deadline-aware loop: workers make
-// progress, stop promptly once the deadline passes, and leave the shared
-// state synced.
+// TestRunUntilStopsAtDeadline checks Drive's run-until-deadline bound:
+// workers make progress, stop promptly once the deadline passes, and
+// leave the shared state synced.
 func TestRunUntilStopsAtDeadline(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		f := newFleet(t, workers, 64, 7)
 		start := time.Now()
-		f.RunUntil(start.Add(50 * time.Millisecond))
+		f.Drive(nil, Budget{Deadline: start.Add(50 * time.Millisecond)}, nil)
 		elapsed := time.Since(start)
 		if f.Execs() == 0 {
 			t.Fatalf("workers=%d: no executions before deadline", workers)
@@ -186,7 +186,7 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 		// Generous bound: the loop re-checks the deadline every engine
 		// iteration, so overshoot is one iteration, not a merge window.
 		if elapsed > 2*time.Second {
-			t.Fatalf("workers=%d: RunUntil overshot deadline by %v", workers, elapsed)
+			t.Fatalf("workers=%d: Drive overshot deadline by %v", workers, elapsed)
 		}
 		s := f.Stats()
 		if s.Execs != f.Execs() {
@@ -195,11 +195,11 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	}
 }
 
-// TestRunUntilPastDeadlineIsNoop: a deadline already in the past performs no
-// executions.
+// TestRunUntilPastDeadlineIsNoop: a Drive deadline already in the past
+// performs no executions.
 func TestRunUntilPastDeadlineIsNoop(t *testing.T) {
 	f := newFleet(t, 2, 64, 7)
-	f.RunUntil(time.Now().Add(-time.Second))
+	f.Drive(nil, Budget{Deadline: time.Now().Add(-time.Second)}, nil)
 	if f.Execs() != 0 {
 		t.Fatalf("past deadline ran %d execs, want 0", f.Execs())
 	}
@@ -211,7 +211,7 @@ func TestRunUntilPastDeadlineIsNoop(t *testing.T) {
 // Corpus still use).
 func TestJournalSyncMatchesFullMerge(t *testing.T) {
 	f := newFleet(t, 3, 128, 11)
-	f.Run(4000)
+	f.Drive(nil, Budget{Execs: 4000}, nil)
 	// Rebuild the union corpus from scratch with full walks.
 	full := corpus.New(0)
 	for _, w := range f.workers {
@@ -254,14 +254,14 @@ func TestSeedStreamOffsetsWorkerSeeds(t *testing.T) {
 	}
 }
 
-// TestSyncAllFlushesSingleWorkerFleet: the single-worker Run path never
+// TestSyncAllFlushesSingleWorkerFleet: the single-worker Drive path never
 // syncs (serial equivalence), so SyncAll is the explicit flush a network
 // leaf uses; after it, the shared state must hold the worker's discoveries.
 func TestSyncAllFlushesSingleWorkerFleet(t *testing.T) {
 	f := newFleet(t, 1, 0, 42)
-	f.Run(3000)
+	f.Drive(nil, Budget{Execs: 3000}, nil)
 	if f.state.Edges() != 0 {
-		t.Fatal("single-worker Run should not have touched the shared state")
+		t.Fatal("single-worker Drive should not have touched the shared state")
 	}
 	f.SyncAll()
 	if got, want := f.state.Edges(), f.workers[0].virgin.Edges(); got != want {
@@ -278,7 +278,7 @@ func TestSyncAllFlushesSingleWorkerFleet(t *testing.T) {
 // prefixes (the multi-day-campaign memory property from the ROADMAP).
 func TestFleetSyncCompactsJournals(t *testing.T) {
 	f := newFleet(t, 2, 64, 5)
-	f.Run(6000)
+	f.Drive(nil, Budget{Execs: 6000}, nil)
 	f.SyncAll()
 	st := f.state
 	if base, n := st.corp.JournalBase(), st.corp.JournalLen(); base == 0 && n > 0 {
@@ -293,7 +293,7 @@ func TestFleetSyncCompactsJournals(t *testing.T) {
 
 // TestParallelExecsApprox pins the concurrency-safe progress counter a
 // fleetnet node reports to remote peers: readable from another goroutine
-// while Run is in flight (the -race suite covers this test), and exactly
+// while Drive is in flight (the -race suite covers this test), and exactly
 // equal to Execs once the fleet is quiescent.
 func TestParallelExecsApprox(t *testing.T) {
 	f := newFleet(t, 2, 64, 7)
@@ -312,16 +312,16 @@ func TestParallelExecsApprox(t *testing.T) {
 			}
 		}
 	}()
-	f.Run(4000)
+	f.Drive(nil, Budget{Execs: 4000}, nil)
 	done <- struct{}{}
 	<-done
 	if got, want := f.ExecsApprox(), f.Execs(); got != want {
 		t.Fatalf("quiescent ExecsApprox = %d, Execs = %d", got, want)
 	}
 
-	// The sync-free single-worker path publishes at the end of Run.
+	// The sync-free single-worker path publishes at the end of Drive.
 	s := newFleet(t, 1, 64, 7)
-	s.Run(500)
+	s.Drive(nil, Budget{Execs: 500}, nil)
 	if got, want := s.ExecsApprox(), s.Execs(); got != want {
 		t.Fatalf("single-worker ExecsApprox = %d, Execs = %d", got, want)
 	}
@@ -329,26 +329,25 @@ func TestParallelExecsApprox(t *testing.T) {
 
 // TestParallelRunBudgetSmallerThanWorkers: a budget that leaves some
 // workers a zero shard must still terminate — those workers' absolute
-// target equals their current count and they return without fuzzing,
-// exactly as the pre-driver Run skipped them. (Regression: a zero
-// target once meant "unbounded" and hung the fleet.)
+// target equals their current count and they return without fuzzing.
+// (Regression: a zero target once meant "unbounded" and hung the fleet.)
 func TestParallelRunBudgetSmallerThanWorkers(t *testing.T) {
 	f := newFleet(t, 4, 0, 7)
 	done := make(chan struct{})
 	go func() {
-		f.Run(2)
+		f.Drive(nil, Budget{Execs: 2}, nil)
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("Run(2) with 4 workers never returned")
+		t.Fatal("Drive to 2 execs with 4 workers never returned")
 	}
 	if got := f.Execs(); got < 2 {
 		t.Fatalf("execs = %d, want >= 2", got)
 	}
 	// Extending the same fleet afterwards must still work.
-	f.Run(600)
+	f.Drive(nil, Budget{Execs: 600}, nil)
 	if got := f.Execs(); got < 600 {
 		t.Fatalf("execs after extension = %d, want >= 600", got)
 	}

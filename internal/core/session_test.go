@@ -260,7 +260,7 @@ func TestSessionFleetStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Run(4000)
+	f.Drive(nil, Budget{Execs: 4000}, nil)
 	s := f.Stats()
 	if s.Sequences == 0 {
 		t.Fatal("fleet Sequences = 0")

@@ -107,21 +107,21 @@ func newConvFleet(t *testing.T, seed uint64, workers, stream int) *core.Fleet {
 	return f
 }
 
-// TestLoopbackTwoNodeConvergesToRunParallel is the acceptance integration
+// TestLoopbackTwoNodeConvergesToParallel is the acceptance integration
 // test for the network transport: a hub plus two leaves on loopback, each
 // leaf spending half the budget on the RNG stream the corresponding local
 // worker would use, must reach the same final edge count — and the same
-// unique-crash count — as a single-process 2-worker RunParallel campaign
-// of equal total budget and the same campaign seed. The leaves run
+// unique-crash count — as a single-process 2-worker campaign of equal
+// total budget and the same campaign seed. The leaves run
 // concurrently, so the test also exercises the hub's locking under -race.
-func TestLoopbackTwoNodeConvergesToRunParallel(t *testing.T) {
+func TestLoopbackTwoNodeConvergesToParallel(t *testing.T) {
 	const (
 		seed   = 42
 		budget = 30000 // total; the conformance target saturates far earlier
 	)
 
 	local := newConvFleet(t, seed, 2, 0)
-	local.Run(budget)
+	local.Drive(nil, core.Budget{Execs: budget}, nil)
 	want := local.Stats()
 	if want.Edges == 0 {
 		t.Fatal("control campaign found no coverage")
@@ -160,7 +160,7 @@ func TestLoopbackTwoNodeConvergesToRunParallel(t *testing.T) {
 		wg.Add(1)
 		go func(l *Leaf) {
 			defer wg.Done()
-			if err := l.Run(budget/2, 512); err != nil {
+			if err := runSynced(t, l.cfg.Fleet, l.Sync, budget/2, 512); err != nil {
 				t.Errorf("%v", err)
 			}
 		}(l)
@@ -178,12 +178,12 @@ func TestLoopbackTwoNodeConvergesToRunParallel(t *testing.T) {
 		t.Fatalf("distributed campaign spent %d execs, want >= %d", got, budget)
 	}
 	if got := state.Edges(); got != want.Edges {
-		t.Fatalf("hub union edges = %d, single-process RunParallel edges = %d", got, want.Edges)
+		t.Fatalf("hub union edges = %d, single-process 2-worker edges = %d", got, want.Edges)
 	}
 	for i, f := range fleets {
 		s := f.Stats()
 		if s.Edges != want.Edges {
-			t.Fatalf("leaf %d edges = %d, single-process RunParallel edges = %d", i, s.Edges, want.Edges)
+			t.Fatalf("leaf %d edges = %d, single-process 2-worker edges = %d", i, s.Edges, want.Edges)
 		}
 		if s.UniqueCrashes != want.UniqueCrashes {
 			t.Fatalf("leaf %d unique crashes = %d, single-process = %d", i, s.UniqueCrashes, want.UniqueCrashes)
@@ -217,7 +217,7 @@ func TestSingleLeafTransportLossless(t *testing.T) {
 		if next > budget {
 			next = budget
 		}
-		control.Run(next)
+		control.Drive(nil, core.Budget{Execs: next}, nil)
 		// Leaf.Sync flushes twice per window (before and after the wire
 		// exchange); mirror it exactly.
 		control.SyncAll()
@@ -230,7 +230,7 @@ func TestSingleLeafTransportLossless(t *testing.T) {
 	fleet, tgt := newLeafFleet(t, 99, 0)
 	hub := startHub(t, state, tgt.Models())
 	leaf := newTestLeaf(t, fleet, tgt, hub.Addr(), "leaf-lossless")
-	if err := leaf.Run(budget, window); err != nil {
+	if err := runSynced(t, fleet, leaf.Sync, budget, window); err != nil {
 		t.Fatal(err)
 	}
 

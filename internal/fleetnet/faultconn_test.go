@@ -194,7 +194,7 @@ func TestConcurrentSyncOverDegradedLink(t *testing.T) {
 		wg.Add(1)
 		go func(l *Leaf) {
 			defer wg.Done()
-			if err := l.Run(budget, 512); err != nil {
+			if err := runSynced(t, l.cfg.Fleet, l.Sync, budget, 512); err != nil {
 				t.Errorf("leaf run over degraded link: %v", err)
 			}
 		}(leaf)
@@ -239,7 +239,7 @@ func TestConcurrentSyncSurvivesMidFrameResets(t *testing.T) {
 
 	syncErrs, syncOKs := 0, 0
 	for window := 1; window <= 8; window++ {
-		fleet.Run(window * 400)
+		fleet.Drive(nil, core.Budget{Execs: window * 400}, nil)
 		if window%2 == 1 {
 			// Cut the link a few dozen bytes into the next push — mid-frame,
 			// after the header is out.
@@ -303,7 +303,7 @@ func TestConcurrentSyncStalledPeerTimesOut(t *testing.T) {
 	}
 	defer leaf.Close()
 
-	fleet.Run(500)
+	fleet.Drive(nil, core.Budget{Execs: 500}, nil)
 	if err := leaf.Sync(); err != nil {
 		t.Fatalf("baseline sync: %v", err)
 	}
@@ -320,7 +320,7 @@ func TestConcurrentSyncStalledPeerTimesOut(t *testing.T) {
 	}
 	proxy.plan.stall.Store(false)
 
-	fleet.Run(1000)
+	fleet.Drive(nil, core.Budget{Execs: 1000}, nil)
 	if err := leaf.Sync(); err != nil {
 		t.Fatalf("sync after stall cleared: %v", err)
 	}
@@ -387,8 +387,8 @@ func TestConcurrentMeshOverFaultyLink(t *testing.T) {
 	defer b.Close()
 
 	for round := 1; round <= 10; round++ {
-		fleetA.Run(round * 300)
-		fleetB.Run(round * 300)
+		fleetA.Drive(nil, core.Budget{Execs: round * 300}, nil)
+		fleetB.Drive(nil, core.Budget{Execs: round * 300}, nil)
 		if round == 3 || round == 6 {
 			proxy.plan.killAfter.Store(60) // sever B's next push mid-frame
 		}

@@ -96,6 +96,25 @@ func newTestLeaf(t *testing.T, fleet *core.Fleet, tgt targets.Target, addr, id s
 	return leaf
 }
 
+// runSynced drives fleet to execBudget total executions, calling sync
+// every syncEvery executions and once more at the end: the window loop
+// the public session API runs around a mesh node, reduced to what the
+// component tests need. A failed window is logged and fuzzing continues;
+// the final sync's error is returned.
+func runSynced(t testing.TB, fleet *core.Fleet, sync func() error, execBudget, syncEvery int) error {
+	for fleet.Execs() < execBudget {
+		window := fleet.Execs() + syncEvery
+		if window > execBudget {
+			window = execBudget
+		}
+		fleet.Drive(nil, core.Budget{Execs: window}, nil)
+		if err := sync(); err != nil {
+			t.Logf("sync: %v (continuing locally)", err)
+		}
+	}
+	return sync()
+}
+
 // TestLoopbackRealTargetSettles runs the hub + two leaves over the real
 // libmodbus target and checks the settlement invariant the protocol does
 // guarantee on a big target: after a final sync round, hub and both leaves
@@ -116,7 +135,7 @@ func TestLoopbackRealTargetSettles(t *testing.T) {
 		wg.Add(1)
 		go func(l *Leaf) {
 			defer wg.Done()
-			if err := l.Run(budget/2, 1024); err != nil {
+			if err := runSynced(t, l.cfg.Fleet, l.Sync, budget/2, 1024); err != nil {
 				t.Errorf("%v", err)
 			}
 		}(l)
@@ -154,7 +173,7 @@ func TestLeafReconnectResumes(t *testing.T) {
 	hub := startHub(t, state, tgt.Models())
 	leaf := newTestLeaf(t, fleet, tgt, hub.Addr(), "leaf-r")
 
-	fleet.Run(4000)
+	fleet.Drive(nil, core.Budget{Execs: 4000}, nil)
 	if err := leaf.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +184,7 @@ func TestLeafReconnectResumes(t *testing.T) {
 	cursorBefore := leaf.session.remoteCursor
 
 	leaf.Close() // simulated connection loss
-	fleet.Run(fleet.Execs() + 4000)
+	fleet.Drive(nil, core.Budget{Execs: fleet.Execs() + 4000}, nil)
 	if err := leaf.Sync(); err != nil {
 		t.Fatalf("sync after reconnect: %v", err)
 	}
@@ -191,7 +210,7 @@ func TestHubRestartOnSameState(t *testing.T) {
 	addr := hub.Addr()
 	leaf := newTestLeaf(t, fleet, tgt, addr, "leaf-h")
 
-	fleet.Run(4000)
+	fleet.Drive(nil, core.Budget{Execs: 4000}, nil)
 	if err := leaf.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +225,7 @@ func TestHubRestartOnSameState(t *testing.T) {
 	}
 	defer hub2.Close()
 
-	fleet.Run(fleet.Execs() + 4000)
+	fleet.Drive(nil, core.Budget{Execs: fleet.Execs() + 4000}, nil)
 	// First sync after the hub vanished fails (dead connection detected);
 	// the one after reconnects against the restarted hub.
 	var synced bool
@@ -282,8 +301,8 @@ func TestCrashRecordsPropagateAcrossFleet(t *testing.T) {
 		return nil
 	}))
 
-	fleetA.Run(512)
-	fleetB.Run(512)
+	fleetA.Drive(nil, core.Budget{Execs: 512}, nil)
+	fleetB.Drive(nil, core.Budget{Execs: 512}, nil)
 	if err := leafA.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +352,7 @@ func TestHubCompactsSharedJournal(t *testing.T) {
 	hub := startHub(t, state, tgt.Models())
 	leaf := newTestLeaf(t, fleet, tgt, hub.Addr(), "leaf-c")
 
-	fleet.Run(6000)
+	fleet.Drive(nil, core.Budget{Execs: 6000}, nil)
 	if err := leaf.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +380,7 @@ func TestHubRestartWithLostState(t *testing.T) {
 	addr := hub.Addr()
 	leaf := newTestLeaf(t, fleet, tgt, addr, "leaf-lost")
 
-	fleet.Run(6000)
+	fleet.Drive(nil, core.Budget{Execs: 6000}, nil)
 	if err := leaf.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +400,7 @@ func TestHubRestartWithLostState(t *testing.T) {
 	}
 	defer hub2.Close()
 
-	fleet.Run(fleet.Execs() + 2000)
+	fleet.Drive(nil, core.Budget{Execs: fleet.Execs() + 2000}, nil)
 	var synced bool
 	for attempt := 0; attempt < 3 && !synced; attempt++ {
 		synced = leaf.Sync() == nil
@@ -408,14 +427,14 @@ func TestClosedLeafDoesNotPinCompaction(t *testing.T) {
 	hub := startHub(t, state, tgt.Models())
 	leaf := newTestLeaf(t, fleet, tgt, hub.Addr(), "leaf-pin")
 
-	fleet.Run(3000)
+	fleet.Drive(nil, core.Budget{Execs: 3000}, nil)
 	if err := leaf.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	leaf.Close()
 
 	// Keep fuzzing detached; worker syncs keep feeding the shared journal.
-	fleet.Run(fleet.Execs() + 5000)
+	fleet.Drive(nil, core.Budget{Execs: fleet.Execs() + 5000}, nil)
 	fleet.SyncAll()
 	var base, length int
 	fleet.State().Exchange(core.ExchangeFunc(func(_ *coverage.Virgin, corp *corpus.Corpus, _ *crash.Bank) error {

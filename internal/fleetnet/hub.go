@@ -1,7 +1,6 @@
 package fleetnet
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -142,35 +141,6 @@ func NewHub(cfg HubConfig) (*Hub, error) {
 		leaves: make(map[string]*remoteLeaf),
 		done:   make(chan struct{}),
 	}, nil
-}
-
-// ListenAndServeContext is ListenAndServe scoped to a context: when ctx
-// is canceled the hub closes itself — the listener stops accepting and
-// every connected peer is dropped mid-read rather than waiting out its
-// frame timeout. The public Run API serves hub attachments through this,
-// which is what makes `context cancel` tear a whole fleet node down
-// promptly.
-func (h *Hub) ListenAndServeContext(ctx context.Context, addr string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := h.ListenAndServe(addr); err != nil {
-		return err
-	}
-	if ctx.Done() == nil {
-		return nil
-	}
-	// Deliberately outside h.wg: the watcher itself calls Close, which
-	// waits on h.wg — membership would deadlock. It exits as soon as the
-	// hub closes for any reason.
-	go func() {
-		select {
-		case <-ctx.Done():
-			h.Close()
-		case <-h.done:
-		}
-	}()
-	return nil
 }
 
 // ListenAndServe listens on addr (host:port; ":0" picks a free port) and

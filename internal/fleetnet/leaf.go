@@ -135,7 +135,7 @@ func (l *Leaf) Sync() error { return l.SyncContext(context.Background()) }
 // interrupts the dial and any blocked frame I/O promptly (the session
 // resets, exactly like a transport failure) instead of waiting out the
 // frame timeout — what makes session teardown prompt for the public
-// Run API.
+// session API.
 func (l *Leaf) SyncContext(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -334,9 +334,6 @@ func (l *Leaf) Close() error {
 	return nil
 }
 
-// Addr returns the remote address this leaf dials.
-func (l *Leaf) Addr() string { return l.cfg.Addr }
-
 // Connected reports whether a session is currently established.
 func (l *Leaf) Connected() bool { return l.conn != nil }
 
@@ -355,29 +352,6 @@ func (l *Leaf) FleetStats() (execs, edges, leaves int, ok bool) {
 	l.statsMu.Lock()
 	defer l.statsMu.Unlock()
 	return l.fleetExecs, l.fleetEdges, l.leaves, l.synced
-}
-
-// Run drives the local fleet to execBudget total executions, syncing with
-// the remote every syncEvery executions (0 = every 4 merge windows' worth,
-// 1024). Sync failures are logged and fuzzing continues; the budget is
-// always spent. The final state is flushed with a last Sync whose error, if
-// any, is returned (the campaign results remain locally intact).
-func (l *Leaf) Run(execBudget, syncEvery int) error {
-	if syncEvery <= 0 {
-		syncEvery = 4 * core.DefaultMergeEvery
-	}
-	fleet := l.cfg.Fleet
-	for fleet.Execs() < execBudget {
-		window := fleet.Execs() + syncEvery
-		if window > execBudget {
-			window = execBudget
-		}
-		fleet.Run(window)
-		if err := l.Sync(); err != nil {
-			l.cfg.Logf("fleetnet leaf: sync: %v (continuing locally)", err)
-		}
-	}
-	return l.Sync()
 }
 
 // leafSeq disambiguates default node ids for multiple leaves in one

@@ -82,11 +82,14 @@ type MeshConfig struct {
 // links keep the campaign converging; sync bandwidth scales with links,
 // not through one box.
 //
-// Sync, Run and Close must be called from the fleet's driving goroutine;
-// the accept loop and its handlers run in the background like a Hub's.
-// (Deadline-bounded runs live in the public session driver,
-// peachstar.Campaign.Start, which alternates core.Fleet.Drive windows
-// with Mesh.SyncContext.)
+// Sync and Close must be called from the fleet's driving goroutine; the
+// accept loop and its handlers run in the background like a Hub's. The
+// run loop lives in the public session driver, peachstar.Campaign.Start,
+// which alternates core.Fleet.Drive windows with Mesh.SyncContext.
+//
+// A node need not listen at all: without ListenAndServe it only dials
+// its peers, which is how the public API expresses a leaf (one static
+// peer, no accept loop); with a listener and no peers it is a hub.
 type Mesh struct {
 	cfg MeshConfig
 	hub *Hub
@@ -327,9 +330,9 @@ func (m *Mesh) ensureUplinks() {
 // Individual link failures are tolerated — the failing session resets and
 // redials with capped exponential backoff and jitter, a learned peer that
 // stays dead is eventually forgotten — and the first error is returned for
-// logging;
-// inbound sessions sync themselves through the accept loop. The node's
-// fleet must not be running (call between Run windows, like Leaf.Sync).
+// logging; inbound sessions sync themselves through the accept loop. The
+// node's fleet must not be running (call between Drive windows, like
+// Leaf.Sync).
 func (m *Mesh) Sync() error { return m.SyncContext(context.Background()) }
 
 // SyncContext is Sync under a context: cancellation interrupts the uplink
@@ -440,29 +443,6 @@ func (m *Mesh) dropUplink(addr string, u *meshUplink) {
 	m.closedRx += rx
 	u.leaf.Close()
 	delete(m.uplinks, addr)
-}
-
-// Run drives the local fleet to execBudget total executions, syncing with
-// the mesh every syncEvery executions (0 = every 4 merge windows' worth,
-// 1024). Sync failures are logged and fuzzing continues; the budget is
-// always spent. The final state is flushed with a last Sync whose error,
-// if any, is returned.
-func (m *Mesh) Run(execBudget, syncEvery int) error {
-	if syncEvery <= 0 {
-		syncEvery = 4 * core.DefaultMergeEvery
-	}
-	fleet := m.cfg.Fleet
-	for fleet.Execs() < execBudget {
-		window := fleet.Execs() + syncEvery
-		if window > execBudget {
-			window = execBudget
-		}
-		fleet.Run(window)
-		if err := m.Sync(); err != nil {
-			m.cfg.Logf("fleetnet mesh %s: sync: %v (continuing locally)", m.cfg.NodeID, err)
-		}
-	}
-	return m.Sync()
 }
 
 // PeerStats reports the node's connectivity: connected uplinks (as of

@@ -39,7 +39,7 @@ func runMeshes(t *testing.T, window int, nodes map[*Mesh]int) {
 		wg.Add(1)
 		go func(m *Mesh, budget int) {
 			defer wg.Done()
-			if err := m.Run(budget, window); err != nil {
+			if err := runSynced(t, m.cfg.Fleet, m.Sync, budget, window); err != nil {
 				t.Logf("mesh %s final sync: %v", m.cfg.NodeID, err)
 			}
 		}(m, budget)
@@ -63,16 +63,16 @@ func settle(t *testing.T, nodes ...*Mesh) {
 	}
 }
 
-// TestMeshThreeNodeConvergesToRunParallel is the acceptance test for mesh
+// TestMeshThreeNodeConvergesToParallel is the acceptance test for mesh
 // mode: a 3-node hub-less mesh campaign — every node running the accept
 // loop plus uplinks, bootstrapped from a single seed address — must reach
 // the same final edge and unique-crash counts as an equal-budget
-// single-process 3-worker RunParallel campaign with the same seed, and
-// must KEEP converging after one node is killed mid-campaign and a
+// single-process 3-worker campaign with the same seed, and must KEEP
+// converging after one node is killed mid-campaign and a
 // replacement bootstraps back in (partition/heal). No hub is configured
 // anywhere: node A is only the bootstrap address, and the campaign
 // finishes with A's accept loop being one of three equals.
-func TestMeshThreeNodeConvergesToRunParallel(t *testing.T) {
+func TestMeshThreeNodeConvergesToParallel(t *testing.T) {
 	const (
 		seed   = 77
 		window = 512
@@ -83,7 +83,7 @@ func TestMeshThreeNodeConvergesToRunParallel(t *testing.T) {
 	// budget (3 nodes × 3 slices — the killed node's third is re-run by
 	// its replacement).
 	control := newConvFleet(t, seed, 3, 0)
-	control.Run(9 * slice)
+	control.Drive(nil, core.Budget{Execs: 9 * slice}, nil)
 	want := control.Stats()
 	if want.Edges == 0 || want.UniqueCrashes == 0 {
 		t.Fatalf("control campaign found nothing (edges %d, crashes %d)", want.Edges, want.UniqueCrashes)
@@ -121,7 +121,7 @@ func TestMeshThreeNodeConvergesToRunParallel(t *testing.T) {
 	for id, f := range fleets {
 		s := f.Stats()
 		if s.Edges != want.Edges {
-			t.Errorf("%s edges = %d, single-process RunParallel edges = %d", id, s.Edges, want.Edges)
+			t.Errorf("%s edges = %d, single-process 3-worker edges = %d", id, s.Edges, want.Edges)
 		}
 		if s.UniqueCrashes != want.UniqueCrashes {
 			t.Errorf("%s unique crashes = %d, single-process = %d", id, s.UniqueCrashes, want.UniqueCrashes)

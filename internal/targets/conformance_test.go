@@ -95,7 +95,7 @@ func TestConformanceAllTargets(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					f.Run(2000)
+					f.Drive(nil, core.Budget{Execs: 2000}, nil)
 					return f.Stats()
 				}
 				eng, err := core.New(cfg)

@@ -63,8 +63,8 @@ func (c *Campaign) Checkpoint(path string) error {
 // A restored campaign continues exactly where the checkpoint was taken:
 // counters, coverage, corpus, crashes, scheduler state and RNG streams
 // all resume, so Start with the original absolute exec budget finishes
-// the remaining work. A restored node that was part of a hub or mesh
-// fleet rejoins it through the normal sync path — peers whose journal
+// the remaining work. A restored node that was part of a mesh fleet
+// rejoins it through the normal sync path — peers whose journal
 // cursors aged out of the restored horizon fall back to a full replay
 // exchange and heal.
 func (c *Campaign) RestoreCheckpoint(path string) error {

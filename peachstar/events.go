@@ -111,17 +111,14 @@ type StateEvent struct {
 
 func (StateEvent) event() {}
 
-// SyncWindowEvent reports one remote sync exchange of a leaf or mesh
-// attachment: the push/pull round trip that merges this campaign's
-// discoveries with the rest of the fleet. Err is nil on success; a failed
-// exchange is not fatal (the campaign keeps fuzzing and the next window
-// retries), so errors surface here rather than ending the run.
+// SyncWindowEvent reports one sync round of a mesh attachment: the
+// push/pull round trips that merge this campaign's discoveries with the
+// rest of the fleet. Err is nil on success; a failed round is not fatal
+// (the campaign keeps fuzzing and the next window retries), so errors
+// surface here rather than ending the run.
 type SyncWindowEvent struct {
-	// Attachment names the attachment kind: "leaf" or "mesh".
-	Attachment string
-	// Addr is the attachment's remote address (the hub address for a
-	// leaf; the node's own accept address for a mesh, whose exchanges
-	// fan out to every linked peer).
+	// Addr is the node's own accept address (empty for a dial-only
+	// node); a round fans out to every linked peer.
 	Addr string
 	// Execs is the campaign's local execution count when the window ran.
 	Execs int

@@ -1,22 +1,24 @@
 package peachstar
 
-// This file is the public face of hub-less mesh campaigns
-// (internal/fleetnet's Mesh): every node runs the sync accept loop AND
-// keeps uplinks to its peers, so the fleet survives the loss of any single
-// node and sync bandwidth scales with links instead of flowing through one
-// box. See ARCHITECTURE.md "Mesh topology" and the README "Mesh
-// campaigns" section.
+// This file is the public face of distributed campaigns
+// (internal/fleetnet's Mesh), the one sync topology: a node may run the
+// sync accept loop, keep uplinks to its peers, or both, so the fleet
+// survives the loss of any single node and sync bandwidth scales with
+// links instead of flowing through one box. A hub and a leaf are just
+// two MeshOptions shapes. See ARCHITECTURE.md "Mesh topology" and the
+// README "Distributed campaigns" section.
 
 import (
-	"time"
-
 	"repro/internal/fleetnet"
 )
 
-// MeshOptions configures a campaign's mesh membership.
+// MeshOptions configures a campaign's mesh membership. Two shapes cover
+// the classic star: a hub is {Listen: addr} with no peers, and a leaf of
+// it is {Peers: []string{addr}, StaticOnly: true} with no Listen.
 type MeshOptions struct {
 	// Listen is the accept-loop address (host:port; ":0" picks a free
-	// port — see MeshNode.Addr).
+	// port — see MeshNode.Addr). Empty means the node accepts nothing
+	// and only dials its peers.
 	Listen string
 	// Peers are the bootstrap peer addresses. One live address is enough
 	// to join an existing mesh: the handshake peer exchange supplies the
@@ -33,18 +35,17 @@ type MeshOptions struct {
 	StaticOnly bool
 }
 
-// MeshNode is one campaign's membership in a hub-less mesh fleet.
+// MeshNode is one campaign's membership in a mesh fleet.
 type MeshNode struct {
-	c    *Campaign
 	mesh *fleetnet.Mesh
 }
 
 // JoinMesh makes this campaign a mesh node: it starts accepting peer
-// connections on opts.Listen and will keep uplinks to every known peer.
-// Drive the campaign through the returned node's RunSynced /
-// RunSyncedUntil (or Run segments interleaved with Sync); remote and local
-// discoveries converge through the same merge path a hub fleet uses, with
-// one session per link instead of one hub holding them all.
+// connections on opts.Listen (unless empty) and will keep uplinks to
+// every known peer. Drive the campaign with Start and the node's
+// Attachment (or Start sessions interleaved with Sync); remote and local
+// discoveries converge through the shared merge path, one session per
+// link.
 //
 // Give each node of a mesh a distinct Options.SeedStream so no two hosts
 // fuzz the same RNG streams of the shared campaign seed.
@@ -60,13 +61,16 @@ func (c *Campaign) JoinMesh(opts MeshOptions) (*MeshNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := mesh.ListenAndServe(opts.Listen); err != nil {
-		return nil, err
+	if opts.Listen != "" {
+		if err := mesh.ListenAndServe(opts.Listen); err != nil {
+			return nil, err
+		}
 	}
-	return &MeshNode{c: c, mesh: mesh}, nil
+	return &MeshNode{mesh: mesh}, nil
 }
 
-// Addr returns the node's bound accept-loop address.
+// Addr returns the node's bound accept-loop address, or "" for a node
+// without one.
 func (m *MeshNode) Addr() string { return m.mesh.Addr() }
 
 // AddPeer adds one peer address at runtime (kept permanently, like a
@@ -74,38 +78,10 @@ func (m *MeshNode) Addr() string { return m.mesh.Addr() }
 func (m *MeshNode) AddPeer(addr string) { m.mesh.AddPeer(addr) }
 
 // Sync runs one merge window with every linked peer: push local
-// discoveries, pull theirs. Safe to call between Run segments; individual
+// discoveries, pull theirs. Safe to call between sessions; individual
 // link failures reset only that link's session, and the first error is
 // returned for logging.
 func (m *MeshNode) Sync() error { return m.mesh.Sync() }
-
-// RunSynced fuzzes until the campaign has spent execBudget total
-// executions, syncing with the mesh every syncEvery executions (0 picks a
-// default of four merge windows). Link failures are tolerated: fuzzing
-// continues and the next window retries. The final sync's error, if any,
-// is returned; local results are intact regardless.
-//
-// Deprecated: use Campaign.Start with a mesh attached — either
-// RunConfig{Attach: []Attachment{WithMesh(opts)}} for a session-owned
-// node, or this handle's Attachment() to keep it across sessions.
-func (m *MeshNode) RunSynced(execBudget, syncEvery int) error {
-	if execBudget <= 0 {
-		return m.Sync() // budget already spent: just the final flush
-	}
-	return runAttached(m.c, RunConfig{Execs: execBudget, SyncEvery: syncEvery}, m.Attachment())
-}
-
-// RunSyncedUntil is RunSynced with a wall-clock deadline instead of an
-// exec budget, stopping within one merge-window slice of the deadline.
-//
-// Deprecated: use Campaign.Start with a Deadline and a mesh attached
-// (see RunSynced).
-func (m *MeshNode) RunSyncedUntil(deadline time.Time, syncEvery int) error {
-	if deadline.IsZero() {
-		return m.Sync() // no deadline to honor: just the final flush
-	}
-	return runAttached(m.c, RunConfig{Deadline: deadline, SyncEvery: syncEvery}, m.Attachment())
-}
 
 // PeerStats reports the node's connectivity: connected uplinks, connected
 // inbound peer sessions, and how many peer addresses it knows.
@@ -122,3 +98,10 @@ func (m *MeshNode) RemoteExecs() int { return m.mesh.RemoteExecs() }
 // keep converging over their remaining links, and a replacement node can
 // bootstrap back in from any live peer.
 func (m *MeshNode) Close() error { return m.mesh.Close() }
+
+// Attachment adapts a live mesh node into a session attachment: the
+// session runs the node's sync rounds but does not close it, so the
+// caller keeps the handle (Addr, PeerStats, AddPeer) across sessions.
+func (m *MeshNode) Attachment() Attachment { return m }
+
+func (m *MeshNode) attach(*Campaign) (*MeshNode, bool, error) { return m, false, nil }

@@ -21,7 +21,8 @@
 //		Strategy: peachstar.PeachStar,
 //		Seed:     1,
 //	})
-//	campaign.Run(50000)
+//	run, _ := campaign.Start(context.Background(), peachstar.RunConfig{Execs: 50000})
+//	run.Wait()
 //	fmt.Println(campaign.Stats())
 //	for _, c := range campaign.Crashes() {
 //		fmt.Printf("%s at %s (packet %x)\n", c.Kind, c.Site, c.Example)
@@ -29,11 +30,9 @@
 package peachstar
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"reflect"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -158,12 +157,12 @@ type Options struct {
 	// MaxBatch bounds the per-iteration donor product materialization
 	// (0 = engine default).
 	MaxBatch int
-	// Workers shards Run across this many parallel worker engines. 0 and
-	// 1 both mean serial, which is bit-for-bit identical to a campaign
-	// created before this option existed. Each worker owns a fresh target
-	// instance and an independent RNG stream split from Seed; workers
-	// exchange coverage and puzzles in coarse batches, so throughput
-	// scales near-linearly with cores.
+	// Workers shards each session across this many parallel worker
+	// engines. 0 and 1 both mean serial, which is bit-for-bit identical
+	// to a campaign created before this option existed. Each worker owns
+	// a fresh target instance and an independent RNG stream split from
+	// Seed; workers exchange coverage and puzzles in coarse batches, so
+	// throughput scales near-linearly with cores.
 	Workers int
 	// TargetFactory builds the fresh target instances extra workers need.
 	// When nil, the campaign re-instantiates the registered target by its
@@ -173,9 +172,10 @@ type Options struct {
 	// SeedStream offsets the RNG stream indices this campaign's workers
 	// draw from the campaign seed: worker i fuzzes stream SeedStream+i.
 	// Leave zero for a standalone campaign. In a distributed fleet
-	// (DialSync), give each leaf a disjoint range — e.g. leaf k with W
-	// workers uses SeedStream k*W — so no two hosts repeat each other's
-	// sequences while the whole fleet remains one reproducible campaign.
+	// (JoinMesh, WithMesh), give each node a disjoint range — e.g. node k
+	// with W workers uses SeedStream k*W — so no two hosts repeat each
+	// other's sequences while the whole fleet remains one reproducible
+	// campaign.
 	SeedStream int
 	// Adaptive enables the adaptive scheduler: learned per-model mutator
 	// weights, rarity-weighted valuable-seed selection, and periodic
@@ -203,15 +203,11 @@ type Options struct {
 	StateModel *StateModel
 }
 
-// Campaign is one fuzzing campaign. Drive it with Start (a cancellable
-// session with a typed event stream), or with the deprecated blocking
-// wrappers (Run, RunParallel, RunUntil, RunFor) that delegate to Start.
+// Campaign is one fuzzing campaign. Drive it with Start: a cancellable
+// session with a typed event stream; Wait on it for a blocking run.
 type Campaign struct {
-	cfg         core.Config
-	userFactory func() Target         // Options.TargetFactory, may be nil
-	factory     func() sandbox.Target // resolved lazily; nil until resolved
-	seedStream  int                   // Options.SeedStream
-	fleet       *core.Fleet
+	cfg   core.Config
+	fleet *core.Fleet
 	// running guards the one-session-at-a-time invariant of Start.
 	running int32
 }
@@ -234,38 +230,48 @@ func NewCampaign(opts Options) (*Campaign, error) {
 		}
 		sm = st.StateModel()
 	}
-	c := &Campaign{
-		cfg: core.Config{
-			Models:   models,
-			Target:   opts.Target,
-			Strategy: opts.Strategy,
-			Seed:     opts.Seed,
-			MaxBatch: opts.MaxBatch,
-			Adaptive: opts.Adaptive,
-			Session:  sm,
-		},
-		userFactory: opts.TargetFactory,
-		seedStream:  opts.SeedStream,
+	cfg := core.Config{
+		Models:   models,
+		Target:   opts.Target,
+		Strategy: opts.Strategy,
+		Seed:     opts.Seed,
+		MaxBatch: opts.MaxBatch,
+		Adaptive: opts.Adaptive,
+		Session:  sm,
 	}
-	if err := c.build(opts.Workers); err != nil {
+	// The target factory is resolved only when extra workers actually
+	// need one, so serial campaigns never probe the registry.
+	var factory func() sandbox.Target
+	if opts.Workers > 1 {
+		if factory = targetFactory(opts.Target, opts.TargetFactory); factory == nil {
+			return nil, fmt.Errorf("peachstar: Workers=%d needs Options.TargetFactory: target %q is not (an instance of) a registered target",
+				opts.Workers, opts.Target.Name())
+		}
+	}
+	fleet, err := core.NewFleet(cfg, core.ParallelConfig{
+		Workers:    opts.Workers,
+		NewTarget:  factory,
+		SeedStream: opts.SeedStream,
+	})
+	if err != nil {
 		return nil, err
 	}
-	return c, nil
+	return &Campaign{cfg: cfg, fleet: fleet}, nil
 }
 
 // targetFactory resolves how extra workers obtain fresh target instances:
 // the explicit Options.TargetFactory, or re-instantiation through the target
-// registry when the campaign's target actually is the registered one — a
-// custom type that merely shares a registered name must not be silently
-// replaced by the registry target on workers 2..N, so it requires an
-// explicit factory. Returns nil when neither applies.
-func (c *Campaign) targetFactory() func() sandbox.Target {
-	if c.userFactory != nil {
-		return func() sandbox.Target { return c.userFactory() }
+// registry when tgt actually is the registered target — a custom type that
+// merely shares a registered name must not be silently replaced by the
+// registry target on workers 2..N, so it requires an explicit factory.
+// Returns nil when neither applies.
+func targetFactory(tgt Target, user func() Target) func() sandbox.Target {
+	if user != nil {
+		return func() sandbox.Target { return user() }
 	}
-	name := c.cfg.Target.(Target).Name()
+	name := tgt.Name()
 	probe, err := targets.New(name)
-	if err != nil || reflect.TypeOf(probe) != reflect.TypeOf(c.cfg.Target) {
+	if err != nil || reflect.TypeOf(probe) != reflect.TypeOf(tgt) {
 		return nil
 	}
 	return func() sandbox.Target {
@@ -277,109 +283,6 @@ func (c *Campaign) targetFactory() func() sandbox.Target {
 	}
 }
 
-// build constructs the worker fleet for the given parallelism. The target
-// factory is resolved only when extra workers actually need one, so serial
-// campaigns never probe the registry.
-func (c *Campaign) build(workers int) error {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > 1 && c.factory == nil {
-		c.factory = c.targetFactory()
-		if c.factory == nil {
-			return fmt.Errorf("peachstar: Workers=%d needs Options.TargetFactory: target %q is not (an instance of) a registered target",
-				workers, c.cfg.Target.(Target).Name())
-		}
-	}
-	fleet, err := core.NewFleet(c.cfg, core.ParallelConfig{
-		Workers:    workers,
-		NewTarget:  c.factory,
-		SeedStream: c.seedStream,
-	})
-	if err != nil {
-		return err
-	}
-	c.fleet = fleet
-	return nil
-}
-
-// Run fuzzes until at least execBudget target executions have happened,
-// using the parallelism configured in Options.Workers. It may be called
-// repeatedly to extend a campaign.
-//
-// Deprecated: use Start with RunConfig{Execs: execBudget} and Wait on the
-// returned Run — it adds cancellation, early stop, and live events. Run
-// remains as a wrapper over Start and produces bit-for-bit identical
-// campaigns.
-func (c *Campaign) Run(execBudget int) {
-	if execBudget <= 0 {
-		return // RunConfig.Execs 0 means "unbounded", not "spent"
-	}
-	c.waitWrapped(RunConfig{Execs: execBudget})
-}
-
-// RunUntil fuzzes until the wall-clock deadline. The deadline is checked
-// inside every worker's loop, so the campaign stops within one engine
-// iteration of it rather than finishing out a fixed execution slice; each
-// worker syncs its discoveries into the shared state before returning. It
-// may be called repeatedly (and mixed with Run) to extend a campaign.
-//
-// Deprecated: use Start with RunConfig{Deadline: deadline}.
-func (c *Campaign) RunUntil(deadline time.Time) {
-	if deadline.IsZero() {
-		return // a zero RunConfig.Deadline means "no deadline"
-	}
-	c.waitWrapped(RunConfig{Deadline: deadline})
-}
-
-// RunFor is RunUntil with a relative wall-clock budget.
-//
-// Deprecated: use Start with RunConfig{Duration: d}.
-func (c *Campaign) RunFor(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	c.waitWrapped(RunConfig{Duration: d})
-}
-
-// RunParallel fuzzes until at least execBudget total target executions have
-// happened, sharded across the given number of workers. workers <= 1 runs
-// the serial engine, bit-for-bit identical to Run on a serial campaign. The
-// worker count may differ from Options.Workers only before the campaign has
-// executed anything; changing it mid-campaign is an error.
-//
-// Deprecated: set Options.Workers and use Start with
-// RunConfig{Execs: execBudget}.
-func (c *Campaign) RunParallel(execBudget, workers int) error {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers != c.fleet.Workers() {
-		if c.fleet.Execs() > 0 {
-			return fmt.Errorf("peachstar: cannot change workers from %d to %d mid-campaign",
-				c.fleet.Workers(), workers)
-		}
-		if err := c.build(workers); err != nil {
-			return err
-		}
-	}
-	c.Run(execBudget)
-	return nil
-}
-
-// waitWrapped is the deprecated wrappers' common body: start a session
-// with the given config and block until it ends. The wrappers predate
-// error returns, so the only possible Start failure — a session already
-// in flight, always a caller bug the old API answered with a data race —
-// panics instead.
-func (c *Campaign) waitWrapped(cfg RunConfig) {
-	r, err := c.Start(context.Background(), cfg)
-	if err != nil {
-		panic(err)
-	}
-	r.Wait()
-}
-
 // Workers returns the campaign's parallelism.
 func (c *Campaign) Workers() int { return c.fleet.Workers() }
 
@@ -389,8 +292,8 @@ func (c *Campaign) Execs() int { return c.fleet.Execs() }
 
 // Step performs one engine iteration and returns how many executions it
 // spent — the granularity used for paths-over-time sampling. On a parallel
-// campaign it advances only the first worker; use Run/RunParallel to drive
-// the whole fleet.
+// campaign it advances only the first worker; use Start to drive the
+// whole fleet.
 func (c *Campaign) Step() int { return c.fleet.Step() }
 
 // Stats returns the current progress snapshot, aggregated across workers.

@@ -1,9 +1,22 @@
 package peachstar
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
+
+// runTo runs one blocking session of c to execs total executions.
+func runTo(t *testing.T, c *Campaign, execs int) {
+	t.Helper()
+	r, err := c.Start(context.Background(), RunConfig{Execs: execs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestTargetNamesListsSix(t *testing.T) {
 	names := TargetNames()
@@ -44,7 +57,7 @@ func TestCampaignRunAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Run(1500)
+	runTo(t, c, 1500)
 	s := c.Stats()
 	if s.Execs < 1500 || s.Paths == 0 || s.Edges == 0 {
 		t.Fatalf("stats = %+v", s)
@@ -75,7 +88,7 @@ func TestCampaignCrashRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Run(12000)
+	runTo(t, c, 12000)
 	for _, r := range c.Crashes() {
 		if r.Site == "" || len(r.Example) == 0 || r.Count == 0 {
 			t.Fatalf("malformed crash record %+v", r)
@@ -106,7 +119,7 @@ func TestModelsOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Run(500)
+	runTo(t, c, 500)
 	if c.Stats().Paths == 0 {
 		t.Fatal("custom pit campaign found nothing")
 	}

@@ -1,14 +1,12 @@
 package peachstar
 
 // This file is the session-based run API — the one driver every execution
-// topology goes through. A Campaign used to grow a new blocking Run*
-// method per topology (serial Run, sharded RunParallel, hub-leaf
-// RunSynced, mesh RunSynced); Start replaces them all with one
-// context-aware entry point: the budget, the sync cadence and the
-// network attachments travel in a RunConfig, and the returned Run is a
-// handle the caller can wait on, stop, snapshot, and observe through a
-// typed event stream. The deprecated methods survive as thin wrappers
-// over Start, which pins their equivalence.
+// topology goes through: serial, sharded and mesh-synced campaigns all
+// run through Start, one context-aware entry point. The budget, the sync
+// cadence and the mesh attachments travel in a RunConfig, and the
+// returned Run is a handle the caller can wait on, stop, snapshot, and
+// observe through a typed event stream. Underneath, every session drives
+// core.Fleet.Drive.
 
 import (
 	"context"
@@ -23,8 +21,7 @@ import (
 )
 
 // DefaultSyncEvery is the default number of local executions between
-// remote sync windows of an attached (leaf or mesh) campaign: four merge
-// windows' worth.
+// mesh sync rounds of an attached campaign: four merge windows' worth.
 const DefaultSyncEvery = 4 * core.DefaultMergeEvery
 
 // DefaultStatsEvery is the default number of fleet executions between
@@ -43,21 +40,21 @@ const DefaultRelayEvery = 5 * time.Second
 // (the session then runs until the context ends or Stop is called),
 // default cadences, no attachments.
 type RunConfig struct {
-	// Execs is the total campaign execution target, in the same absolute
-	// terms the deprecated Run used: the session drives the fleet until
-	// at least this many executions have happened since the campaign was
-	// created (so extending a campaign with a second session reuses the
-	// same scale). 0 means no execution bound.
+	// Execs is the total campaign execution target, in absolute terms:
+	// the session drives the fleet until at least this many executions
+	// have happened since the campaign was created (so extending a
+	// campaign with a second session reuses the same scale). 0 means no
+	// execution bound.
 	Execs int
 	// Deadline, when non-zero, stops the session at that wall-clock
-	// instant, checked before every engine step like RunUntil checked it.
+	// instant, checked before every engine step.
 	Deadline time.Time
 	// Duration, when positive and Deadline is zero, is a relative
 	// deadline of Start-time + Duration.
 	Duration time.Duration
-	// SyncEvery is the number of local executions between remote sync
-	// windows when the session has leaf or mesh attachments
-	// (0 = DefaultSyncEvery). Ignored without attachments.
+	// SyncEvery is the number of local executions between mesh sync
+	// rounds when the session has attachments (0 = DefaultSyncEvery).
+	// Ignored without attachments.
 	SyncEvery int
 	// StatsEvery is the number of fleet executions between StatsEvents
 	// on the event stream (0 = DefaultStatsEvery; negative disables
@@ -68,19 +65,19 @@ type RunConfig struct {
 	// event is dropped — except crashes, which evict older events
 	// instead. See Run.Events.
 	EventBuffer int
-	// Attach lists the session's sync attachments, composably: serve
-	// this campaign to remote leaves (WithHub), uplink it to a hub
-	// (WithLeaf), mesh it with peers (WithMesh) — or drive an existing
-	// SyncServer/SyncLeaf/MeshNode handle through its Attachment method.
-	// Attachments created by WithHub/WithLeaf/WithMesh belong to the
+	// Attach lists the session's mesh attachments: a node built for the
+	// session (WithMesh), or an existing MeshNode handle driven through
+	// its Attachment method. MeshOptions express every role — a hub is
+	// a node that listens with no peers, a leaf a node with one static
+	// peer and no listener. Nodes created by WithMesh belong to the
 	// session and are closed when it ends; borrowed handles are left
 	// open for their owner.
 	Attach []Attachment
 	// RelayOnly makes the session execute nothing itself: the workers
 	// stay idle while the session serves its attachments — accepting
-	// hub or mesh peers and relaying fleet state between them every
-	// RelayEvery — until the context ends, Stop is called, or the
-	// deadline passes. For aggregator hubs and pure mesh relays.
+	// peers and relaying fleet state between them every RelayEvery —
+	// until the context ends, Stop is called, or the deadline passes.
+	// For aggregator hubs and pure mesh relays.
 	RelayOnly bool
 	// RelayEvery is the wall-clock cadence of a RelayOnly session's
 	// sync-and-report rounds (0 = DefaultRelayEvery). Ignored unless
@@ -116,156 +113,29 @@ type RunConfig struct {
 	CheckpointEvery int
 }
 
-// Attachment composes a fleet transport into a session: something a run
-// serves, dials, or exchanges state with at its sync cadence. Build them
-// with WithHub, WithLeaf or WithMesh (session-owned), or borrow a live
-// SyncServer, SyncLeaf or MeshNode via its Attachment method.
+// Attachment composes a mesh node into a session: the session runs one
+// merge round with the node's peers every RunConfig.SyncEvery executions.
+// Build one with WithMesh (session-owned), or borrow a live MeshNode via
+// its Attachment method.
 type Attachment interface {
-	// attach binds the attachment to the campaign under the session's
-	// context and returns its runtime half.
-	attach(ctx context.Context, c *Campaign) (runAttachment, error)
+	// attach resolves the attachment to the node the session drives, and
+	// whether the session owns it (and so closes it when it ends).
+	attach(c *Campaign) (node *MeshNode, owned bool, err error)
 }
 
-// runAttachment is the runtime half of an Attachment: what the session
-// loop actually drives.
-type runAttachment interface {
-	kind() string                   // "hub" | "leaf" | "mesh", for events
-	addr() string                   // remote (leaf) or serving (hub/mesh) address
-	active() bool                   // participates in the sync cadence (hubs are passive)
-	sync(ctx context.Context) error // one remote merge window
-	close() error                   // session-end cleanup; no-op when borrowed
-}
-
-// WithHub returns an attachment that serves the campaign's shared state
-// to remote leaves on addr (host:port, ":0" picks a free port) for the
-// lifetime of the session. The hub accepts and exchanges in the
-// background; canceling the session's context tears every peer
-// connection down promptly.
-func WithHub(addr string) Attachment { return hubSpec{listen: addr} }
-
-// WithLeaf returns an attachment that uplinks the campaign to the fleet
-// hub at addr, pushing local discoveries and pulling the fleet's every
-// RunConfig.SyncEvery executions. Connection loss only pauses exchange —
-// the campaign keeps fuzzing and later windows redial. The uplink closes
-// with the session.
-func WithLeaf(addr string) Attachment { return leafSpec{addr: addr} }
-
-// WithMesh returns an attachment that makes the campaign a node of a
-// hub-less mesh fleet for the lifetime of the session, accepting peers
-// on opts.Listen and keeping uplinks to every known peer, with one merge
-// round per RunConfig.SyncEvery executions.
+// WithMesh returns an attachment that makes the campaign a mesh node for
+// the lifetime of the session, with one merge round per
+// RunConfig.SyncEvery executions. The MeshOptions pick the role: peers
+// and a listener for a mesh member, a listener and no peers for a hub
+// that leaves dial, one static peer and no listener for a leaf.
 func WithMesh(opts MeshOptions) Attachment { return meshSpec{opts: opts} }
-
-// hubSpec builds a session-owned hub.
-type hubSpec struct{ listen string }
-
-func (s hubSpec) attach(ctx context.Context, c *Campaign) (runAttachment, error) {
-	srv, err := c.serveSync(ctx, s.listen)
-	if err != nil {
-		return nil, err
-	}
-	return &hubRun{srv: srv, owned: true}, nil
-}
-
-// leafSpec builds a session-owned leaf uplink.
-type leafSpec struct{ addr string }
-
-func (s leafSpec) attach(_ context.Context, c *Campaign) (runAttachment, error) {
-	leaf, err := c.DialSync(s.addr)
-	if err != nil {
-		return nil, err
-	}
-	return &leafRun{l: leaf, remote: s.addr, owned: true}, nil
-}
 
 // meshSpec builds a session-owned mesh node.
 type meshSpec struct{ opts MeshOptions }
 
-func (s meshSpec) attach(_ context.Context, c *Campaign) (runAttachment, error) {
+func (s meshSpec) attach(c *Campaign) (*MeshNode, bool, error) {
 	node, err := c.JoinMesh(s.opts)
-	if err != nil {
-		return nil, err
-	}
-	return &meshRun{m: node, owned: true}, nil
-}
-
-// hubRun is a hub attachment at runtime: passive (remote leaves sync
-// themselves through the accept loop), it only needs closing.
-type hubRun struct {
-	srv   *SyncServer
-	owned bool
-}
-
-func (h *hubRun) kind() string               { return "hub" }
-func (h *hubRun) addr() string               { return h.srv.Addr() }
-func (h *hubRun) active() bool               { return false }
-func (h *hubRun) sync(context.Context) error { return nil }
-func (h *hubRun) close() error {
-	if !h.owned {
-		return nil
-	}
-	return h.srv.Close()
-}
-
-// leafRun is a leaf attachment at runtime.
-type leafRun struct {
-	l      *SyncLeaf
-	remote string
-	owned  bool
-}
-
-func (l *leafRun) kind() string                   { return "leaf" }
-func (l *leafRun) addr() string                   { return l.remote }
-func (l *leafRun) active() bool                   { return true }
-func (l *leafRun) sync(ctx context.Context) error { return l.l.leaf.SyncContext(ctx) }
-func (l *leafRun) close() error {
-	if !l.owned {
-		return nil
-	}
-	return l.l.Close()
-}
-
-// meshRun is a mesh attachment at runtime.
-type meshRun struct {
-	m     *MeshNode
-	owned bool
-}
-
-func (m *meshRun) kind() string                   { return "mesh" }
-func (m *meshRun) addr() string                   { return m.m.Addr() }
-func (m *meshRun) active() bool                   { return true }
-func (m *meshRun) sync(ctx context.Context) error { return m.m.mesh.SyncContext(ctx) }
-func (m *meshRun) close() error {
-	if !m.owned {
-		return nil
-	}
-	return m.m.Close()
-}
-
-// Attachment adapts a live sync server into a session attachment. The
-// session serves through it but does not own it: it stays open when the
-// session ends, so one hub can span several sessions (fuzz phases,
-// relay phases) on the same campaign.
-func (s *SyncServer) Attachment() Attachment { return borrowedAttachment{a: &hubRun{srv: s}} }
-
-// Attachment adapts a live leaf uplink into a session attachment: the
-// session syncs it at the configured cadence but does not close it, so
-// the caller keeps the handle (FleetStats, Connected) across sessions.
-func (l *SyncLeaf) Attachment() Attachment {
-	return borrowedAttachment{a: &leafRun{l: l, remote: l.leaf.Addr()}}
-}
-
-// Attachment adapts a live mesh node into a session attachment: the
-// session runs the node's sync rounds but does not close it, so the
-// caller keeps the handle (Addr, PeerStats, AddPeer) across sessions.
-func (m *MeshNode) Attachment() Attachment { return borrowedAttachment{a: &meshRun{m: m}} }
-
-// borrowedAttachment wraps a prebuilt runAttachment whose lifecycle the
-// caller owns.
-type borrowedAttachment struct{ a runAttachment }
-
-func (b borrowedAttachment) attach(context.Context, *Campaign) (runAttachment, error) {
-	return b.a, nil
+	return node, true, err
 }
 
 // Run is one live campaign session started by Campaign.Start: a handle to
@@ -289,8 +159,10 @@ type Run struct {
 	// context's error.
 	ctxStopped int32
 
-	atts    []runAttachment
-	syncers []runAttachment
+	// nodes are the mesh nodes the session syncs, owned the subset it
+	// created (WithMesh) and closes when it ends.
+	nodes []*MeshNode
+	owned []*MeshNode
 
 	// exec is the session-owned execution backend swapped into the fleet
 	// for this session (nil for default in-process sessions); prevExec is
@@ -368,28 +240,22 @@ func (c *Campaign) Start(ctx context.Context, cfg RunConfig) (*Run, error) {
 	if cfg.StatsEvery < 0 {
 		r.statsNext = int64(^uint64(0) >> 2) // periodic stats disabled
 	}
+	fail := func(err error) (*Run, error) {
+		r.closeOwned()
+		atomic.StoreInt32(&c.running, 0)
+		return nil, err
+	}
 	for _, a := range cfg.Attach {
-		att, err := a.attach(ctx, c)
+		node, owned, err := a.attach(c)
 		if err != nil {
-			for _, prev := range r.atts {
-				prev.close()
-			}
-			atomic.StoreInt32(&c.running, 0)
-			return nil, err
+			return fail(err)
 		}
-		r.atts = append(r.atts, att)
-		if att.active() {
-			r.syncers = append(r.syncers, att)
+		r.nodes = append(r.nodes, node)
+		if owned {
+			r.owned = append(r.owned, node)
 		}
 	}
 	if cfg.Exec != nil {
-		fail := func(err error) (*Run, error) {
-			for _, prev := range r.atts {
-				prev.close()
-			}
-			atomic.StoreInt32(&c.running, 0)
-			return nil, err
-		}
 		ex, err := cfg.Exec.build(c)
 		if err != nil {
 			return fail(err)
@@ -408,9 +274,8 @@ func (c *Campaign) Start(ctx context.Context, cfg RunConfig) (*Run, error) {
 // Wait blocks until the session ends and returns its result: nil on a
 // spent budget or a graceful Stop, the context's error if the context
 // ended the session, or the final sync flush's error for an attached
-// session whose last exchange failed (matching the deprecated
-// RunSynced contract). Wait may be called any number of times, from any
-// goroutine.
+// session whose last exchange failed. Wait may be called any number of
+// times, from any goroutine.
 func (r *Run) Wait() error {
 	<-r.done
 	return r.err
@@ -460,9 +325,7 @@ func (r *Run) loop() {
 			r.c.fleet.SwapExecutor(r.prevExec)
 			r.exec.Close()
 		}
-		for _, a := range r.atts {
-			a.close()
-		}
+		r.closeOwned()
 		atomic.StoreInt32(&r.c.running, 0)
 		close(r.done)
 	}()
@@ -480,7 +343,7 @@ func (r *Run) loop() {
 	switch {
 	case r.cfg.RelayOnly:
 		syncErr = r.relayLoop()
-	case len(r.syncers) == 0 && r.cfg.CheckpointPath == "":
+	case len(r.nodes) == 0 && r.cfg.CheckpointPath == "":
 		r.c.fleet.Drive(r.stop, core.Budget{Execs: r.cfg.Execs, Deadline: r.cfg.Deadline}, r.windowHook)
 	default:
 		syncErr = r.syncedLoop()
@@ -535,11 +398,13 @@ func (r *Run) budgetDone() bool {
 }
 
 // syncedLoop drives an attached or checkpointing session: fuzz one
-// window's worth of executions, then exchange with every active
-// attachment and take any due durable checkpoint, until the budget is
-// spent or the session is stopped; a final flush settles the remote state
-// (and its error is the session result, like RunSynced's) and a final
-// checkpoint captures the session's last window. Exchange and checkpoint
+// window's worth of executions, then run a merge round on every attached
+// node and take any due durable checkpoint, until the budget is spent or
+// the session is stopped; a final flush settles the remote state (and its
+// error is the session result) and a final checkpoint captures the
+// session's last window. Each round starts by flushing the workers into
+// the shared state, so even a serial campaign that only serves inbound
+// peers presents its discoveries to them. Exchange and checkpoint
 // failures inside the loop surface as events and the campaign keeps
 // fuzzing — the next window retries. Checkpoints are taken between Drive
 // calls, when every worker is quiescent, which is what makes each one a
@@ -653,20 +518,18 @@ func (r *Run) spent() bool {
 	return false
 }
 
-// syncAll runs one remote window on every active attachment, emitting a
-// SyncWindowEvent per exchange, and returns the first error (the
-// mesh/leaf convention).
+// syncAll runs one merge round on every attached mesh node, emitting a
+// SyncWindowEvent per round, and returns the first error.
 func (r *Run) syncAll() error {
 	var firstErr error
-	for _, a := range r.syncers {
+	for _, n := range r.nodes {
 		began := time.Now()
-		err := a.sync(r.ctx)
+		err := n.mesh.SyncContext(r.ctx)
 		r.emit(SyncWindowEvent{
-			Attachment: a.kind(),
-			Addr:       a.addr(),
-			Execs:      r.c.fleet.ExecsApprox(),
-			Elapsed:    time.Since(began),
-			Err:        err,
+			Addr:    n.Addr(),
+			Execs:   r.c.fleet.ExecsApprox(),
+			Elapsed: time.Since(began),
+			Err:     err,
 		})
 		if err != nil && firstErr == nil {
 			firstErr = err
@@ -675,16 +538,11 @@ func (r *Run) syncAll() error {
 	return firstErr
 }
 
-// runAttached is the deprecated RunSynced/RunSyncedUntil wrappers'
-// common body: one blocking session with the given budget and a single
-// borrowed attachment.
-func runAttached(c *Campaign, cfg RunConfig, att Attachment) error {
-	cfg.Attach = []Attachment{att}
-	r, err := c.Start(context.Background(), cfg)
-	if err != nil {
-		return err
+// closeOwned closes the mesh nodes the session created.
+func (r *Run) closeOwned() {
+	for _, n := range r.owned {
+		n.Close()
 	}
-	return r.Wait()
 }
 
 // windowHook is the driver's per-merge-window observer, called on worker

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/crash"
 )
 
@@ -108,25 +109,65 @@ func TestEmitNeverDropsCrashes(t *testing.T) {
 	}
 }
 
-// TestStartWrapperEquivalence: a session and the deprecated wrapper
-// produce bit-for-bit identical campaigns — Start is a new surface over
-// the same deterministic stream, not a new behavior.
-func TestStartWrapperEquivalence(t *testing.T) {
-	viaWrapper := newTestCampaign(t, Options{Strategy: PeachStar, Seed: 23})
-	viaWrapper.Run(5000)
-
-	viaStart := newTestCampaign(t, Options{Strategy: PeachStar, Seed: 23})
-	r, err := viaStart.Start(context.Background(), RunConfig{Execs: 5000})
+// serialEngine runs the serial core engine with c's configuration, on a
+// fresh target instance, to execs executions: the reference a serial
+// campaign's sessions must reproduce bit for bit.
+func serialEngine(t *testing.T, c *Campaign, execs int) *core.Engine {
+	t.Helper()
+	cfg := c.cfg
+	tgt, err := NewTarget(cfg.Target.(Target).Name())
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Target = tgt
+	e, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run(execs)
+	return e
+}
+
+// assertMatchesEngine fails unless campaign c holds exactly the engine's
+// campaign: stats, crashes in discovery order, and corpus size.
+func assertMatchesEngine(t *testing.T, c *Campaign, e *core.Engine) {
+	t.Helper()
+	if got, want := c.Stats(), e.Stats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("campaign stats %+v != serial engine stats %+v", got, want)
+	}
+	cr, er := c.Crashes(), e.Crashes().Records()
+	if len(cr) != len(er) {
+		t.Fatalf("campaign found %d crashes, serial engine %d", len(cr), len(er))
+	}
+	for i := range er {
+		if cr[i].Site != er[i].Site || cr[i].FirstExec != er[i].FirstExec {
+			t.Fatalf("crash %d differs: campaign %+v, engine %+v", i, cr[i], er[i])
+		}
+	}
+	if got, want := c.CorpusSize(), e.Corpus().Len(); got != want {
+		t.Fatalf("campaign corpus = %d puzzles, serial engine = %d", got, want)
+	}
+}
+
+// TestStartWrapperEquivalence: a serial Start session — its event stream
+// drained as it runs — is a wrapper over the serial engine loop, not a new
+// behavior: it produces the campaign core.Engine.Run produces at the same
+// seed, bit for bit.
+func TestStartWrapperEquivalence(t *testing.T) {
+	c := newTestCampaign(t, Options{Strategy: PeachStar, Seed: 23})
+	want := serialEngine(t, c, 5000)
+	r, err := c.Start(context.Background(), RunConfig{Execs: 5000, StatsEvery: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, cov, _, _ := collectEvents(r)
 	if err := r.Wait(); err != nil {
 		t.Fatal(err)
 	}
-
-	if got, want := viaStart.Stats(), viaWrapper.Stats(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Start stats %+v != wrapper Run stats %+v", got, want)
+	if len(stats) < 2 || len(cov) == 0 {
+		t.Fatalf("session streamed %d stats and %d coverage events; the drain observed nothing", len(stats), len(cov))
 	}
+	assertMatchesEngine(t, c, want)
 }
 
 // TestStartCancelMidWindow: canceling the context stops an unbounded
