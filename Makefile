@@ -36,8 +36,9 @@ test:
 # fleet-published stats atomics), and the stateful-session fuzzing suite
 # (TestSession* — sequence determinism, fleet-merged state counters,
 # process-backed session boundaries — plus the TestDeepState conformance
-# experiment) under -race. The fleetnet loopback suite (hub + concurrent
-# leaves) runs under -race in docs-check, which ci and check both include.
+# experiment) under -race. The fleetnet loopback suite (hub- and
+# leaf-shaped mesh nodes, concurrent leaves) runs under -race in
+# docs-check, which ci and check both include.
 race:
 	$(GO) test -race -run 'TestParallel|TestConcurrent|TestRunUntil|TestStart|TestAdaptive|TestSched|TestSession|TestDeepState' ./internal/core ./internal/crash ./internal/executor ./peachstar .
 
@@ -55,8 +56,8 @@ soak:
 
 # Documentation gate: vet (which checks doc-comment placement pragmas),
 # a package-doc presence check over every library package, and the
-# fleetnet loopback suite — including the 2-node hub/leaf convergence
-# test, the 3-node mesh partition/heal convergence test, and the
+# fleetnet loopback suite — including the 2-leaf star convergence test,
+# the 3-node mesh partition/heal convergence test, and the
 # session-lifecycle regression tests — under -race (the protocol and
 # topologies documented in ARCHITECTURE.md must actually hold).
 docs-check:
@@ -100,15 +101,18 @@ api-check:
 api-snapshot:
 	$(GO) run ./cmd/apicheck -update
 
-# Short native-fuzz smoke runs over the crack/generate round-trip targets
-# and the campaign-checkpoint decoder (truncated, corrupt, and
-# non-minimal-varint envelopes must be rejected with errors, never panics).
+# Short native-fuzz smoke runs over the crack/generate round-trip targets,
+# the campaign-checkpoint decoder (truncated, corrupt, and
+# non-minimal-varint envelopes must be rejected with errors, never panics)
+# and the fleetnet frame decoders (network bytes: errors, never panics, no
+# allocation past the frame and remaining-bytes caps).
 fuzz:
 	$(GO) test ./internal/datamodel -fuzz 'FuzzCrack$$' -fuzztime 10s -run XXX
 	$(GO) test ./internal/datamodel -fuzz 'FuzzGenerate$$' -fuzztime 10s -run XXX
 	$(GO) test ./internal/datamodel -fuzz 'FuzzCrackSeedCorpusBytes$$' -fuzztime 10s -run XXX
 	$(GO) test ./internal/session -fuzz 'FuzzSequenceCodec$$' -fuzztime 10s -run XXX
 	$(GO) test . -fuzz 'FuzzCheckpointDecode$$' -fuzztime 10s -run XXX
+	$(GO) test ./internal/fleetnet -fuzz 'FuzzFrameDecode$$' -fuzztime 10s -run XXX
 
 # Serial-vs-sharded throughput on libmodbus (the BENCH_parallel.json rows).
 bench-parallel:

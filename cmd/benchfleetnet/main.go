@@ -3,14 +3,18 @@
 // TCP loopback on libmodbus, and emits the BENCH_fleetnet.json measurement
 // fields as one JSON object on stdout. `make bench-fleetnet` runs it.
 //
-// Three figures matter for sizing a hub/leaf fleet:
+// Every node is a fleetnet.Mesh. The default run measures a star of two:
+// a hub (a listening node with no peers, serving an idle fleet's state)
+// and a leaf (a non-listening node with the hub as its one static peer,
+// fuzzing). Three figures matter for sizing such a fleet:
 //
 //   - steady-window cost: wall time and bytes of a sync after `-window`
 //     fresh executions (the per-window overhead a leaf actually pays);
 //   - empty-window round trip: a sync with nothing new on either side
 //     (the protocol floor: framing + one empty delta each way);
-//   - full-resync cost: the first window of a reconnecting leaf whose
-//     session state was lost (shadow bitmap reset, journal replayed).
+//   - full-resync cost: the first window of a fresh replacement leaf on
+//     the same fleet, made after the first leaf is closed (shadow bitmap
+//     empty, journal replayed).
 //
 // With -mesh it instead measures a 3-node hub-less mesh (one seed node,
 // two nodes bootstrapped from its address): the per-node steady window
@@ -59,31 +63,14 @@ func main() {
 	if err != nil {
 		die(err)
 	}
-	state := core.NewSyncState(0)
-	hub, err := fleetnet.NewHub(fleetnet.HubConfig{State: state, Target: "libmodbus", Models: tgt.Models()})
-	if err != nil {
-		die(err)
-	}
+	hub := newNode(newMeshFleet(*seed, 0), tgt, "bench-hub", nil)
 	if err := hub.ListenAndServe("127.0.0.1:0"); err != nil {
 		die(err)
 	}
 	defer hub.Close()
 
-	fleet, err := core.NewFleet(core.Config{
-		Models:   tgt.Models(),
-		Target:   tgt,
-		Strategy: core.StrategyPeachStar,
-		Seed:     *seed,
-	}, core.ParallelConfig{Workers: 1})
-	if err != nil {
-		die(err)
-	}
-	leaf, err := fleetnet.NewLeaf(fleetnet.LeafConfig{
-		Fleet: fleet, Addr: hub.Addr(), Target: "libmodbus", Models: tgt.Models(),
-	})
-	if err != nil {
-		die(err)
-	}
+	fleet := newMeshFleet(*seed, 0)
+	leaf := newNode(fleet, tgt, "bench-leaf", []string{hub.Addr()})
 	defer leaf.Close()
 
 	// Warm up: build coverage and corpus so measured windows carry the
@@ -130,12 +117,7 @@ func main() {
 	// state cold — fresh shadow bitmap and journal cursor on both sides,
 	// so the entire bitmap and corpus cross the wire once, each way.
 	leaf.Close()
-	leaf2, err := fleetnet.NewLeaf(fleetnet.LeafConfig{
-		Fleet: fleet, Addr: hub.Addr(), Target: "libmodbus", Models: tgt.Models(),
-	})
-	if err != nil {
-		die(err)
-	}
+	leaf2 := newNode(fleet, tgt, "bench-leaf-2", []string{hub.Addr()})
 	defer leaf2.Close()
 	start := time.Now()
 	if err := leaf2.Sync(); err != nil {
@@ -170,6 +152,22 @@ func main() {
 	if err := enc.Encode(out); err != nil {
 		die(err)
 	}
+}
+
+// newNode makes a mesh node over fleet with peers as its static peer set.
+func newNode(fleet *core.Fleet, tgt targets.Target, id string, peers []string) *fleetnet.Mesh {
+	m, err := fleetnet.NewMesh(fleetnet.MeshConfig{
+		Fleet:      fleet,
+		Target:     "libmodbus",
+		Models:     tgt.Models(),
+		NodeID:     id,
+		Peers:      peers,
+		StaticOnly: true,
+	})
+	if err != nil {
+		die(err)
+	}
+	return m
 }
 
 // newMeshFleet builds one 1-worker libmodbus fleet on the given RNG stream

@@ -89,6 +89,17 @@ func convModels() []*datamodel.Model {
 	return []*datamodel.Model{mk(1), mk(2), mk(3)}
 }
 
+// startConvHub starts a conformance-target hub over an idle 1-worker
+// fleet on a free loopback port.
+func startConvHub(t *testing.T) *Mesh {
+	t.Helper()
+	hub, err := listenHub(t, newConvFleet(t, 0, 1, 0), "conv", convModels(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hub
+}
+
 func newConvFleet(t *testing.T, seed uint64, workers, stream int) *core.Fleet {
 	t.Helper()
 	f, err := core.NewFleet(core.Config{
@@ -127,38 +138,24 @@ func TestLoopbackTwoNodeConvergesToParallel(t *testing.T) {
 		t.Fatal("control campaign found no coverage")
 	}
 
-	state := core.NewSyncState(0)
-	hub, err := NewHub(HubConfig{State: state, Target: "conv", Models: convModels(), Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hub.ListenAndServe("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
+	hub := startConvHub(t)
+	state := hub.cfg.Fleet.State()
 
 	fleets := []*core.Fleet{newConvFleet(t, seed, 1, 0), newConvFleet(t, seed, 1, 1)}
-	leaves := make([]*Leaf, len(fleets))
+	leaves := make([]*Mesh, len(fleets))
 	for i, f := range fleets {
-		leaf, err := NewLeaf(LeafConfig{
+		leaves[i] = newLeaf(t, MeshConfig{
 			Fleet:  f,
-			Addr:   hub.Addr(),
 			Target: "conv",
 			Models: convModels(),
 			NodeID: []string{"leaf-a", "leaf-b"}[i],
-			Logf:   t.Logf,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer leaf.Close()
-		leaves[i] = leaf
+		}, hub.Addr())
 	}
 
 	var wg sync.WaitGroup
 	for _, l := range leaves {
 		wg.Add(1)
-		go func(l *Leaf) {
+		go func(l *Mesh) {
 			defer wg.Done()
 			if err := runSynced(t, l.cfg.Fleet, l.Sync, budget/2, 512); err != nil {
 				t.Errorf("%v", err)
@@ -218,17 +215,16 @@ func TestSingleLeafTransportLossless(t *testing.T) {
 			next = budget
 		}
 		control.Drive(nil, core.Budget{Execs: next}, nil)
-		// Leaf.Sync flushes twice per window (before and after the wire
-		// exchange); mirror it exactly.
+		// A leaf's sync round flushes twice per window (before and after
+		// the wire exchange); mirror it exactly.
 		control.SyncAll()
 		control.SyncAll()
 	}
 	control.SyncAll()
 	control.SyncAll()
 
-	state := core.NewSyncState(0)
 	fleet, tgt := newLeafFleet(t, 99, 0)
-	hub := startHub(t, state, tgt.Models())
+	hub, _ := startHub(t, tgt.Models())
 	leaf := newTestLeaf(t, fleet, tgt, hub.Addr(), "leaf-lossless")
 	if err := runSynced(t, fleet, leaf.Sync, budget, window); err != nil {
 		t.Fatal(err)

@@ -14,8 +14,8 @@ import (
 // Fault-injection tests: the fleet protocol's tolerance claims — partial
 // writes reassemble, mid-frame resets reset the session and the next sync
 // re-pushes idempotently, stalled peers are bounded by the frame timeout —
-// exercised through a net.Conn wrapper that misbehaves on demand, over the
-// real hub/leaf and mesh stacks. The TestConcurrent* names put these under
+// exercised through a net.Conn wrapper that misbehaves on demand, over
+// hub- and leaf-shaped mesh nodes and a two-node mesh. The TestConcurrent* names put these under
 // `make race`.
 
 // faultPlan is the shared, concurrently-mutable control block for every
@@ -163,15 +163,7 @@ func (p *faultProxy) acceptLoop() {
 // both sides.
 func TestConcurrentSyncOverDegradedLink(t *testing.T) {
 	const budget = 3000
-	state := core.NewSyncState(0)
-	hub, err := NewHub(HubConfig{State: state, Target: "conv", Models: convModels(), Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hub.ListenAndServe("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
+	hub := startConvHub(t)
 	proxy := newFaultProxy(t, hub.Addr())
 	proxy.plan.chunk.Store(3)
 	proxy.plan.latency.Store(int64(100 * time.Microsecond))
@@ -179,20 +171,14 @@ func TestConcurrentSyncOverDegradedLink(t *testing.T) {
 	fleets := []*core.Fleet{newConvFleet(t, 41, 1, 0), newConvFleet(t, 41, 1, 1)}
 	var wg sync.WaitGroup
 	for i, f := range fleets {
-		leaf, err := NewLeaf(LeafConfig{
+		leaf := newLeaf(t, MeshConfig{
 			Fleet:  f,
-			Addr:   proxy.Addr(),
 			Target: "conv",
 			Models: convModels(),
 			NodeID: []string{"deg-a", "deg-b"}[i],
-			Logf:   t.Logf,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer leaf.Close()
+		}, proxy.Addr())
 		wg.Add(1)
-		go func(l *Leaf) {
+		go func(l *Mesh) {
 			defer wg.Done()
 			if err := runSynced(t, l.cfg.Fleet, l.Sync, budget, 512); err != nil {
 				t.Errorf("leaf run over degraded link: %v", err)
@@ -201,8 +187,7 @@ func TestConcurrentSyncOverDegradedLink(t *testing.T) {
 	}
 	wg.Wait()
 
-	execs, _, _ := hub.RemoteStats()
-	if want := 2 * budget; execs < want {
+	if execs, want := hub.RemoteExecs(), 2*budget; execs < want {
 		t.Fatalf("hub absorbed %d remote execs over the degraded link, want ≥ %d", execs, want)
 	}
 }
@@ -212,30 +197,16 @@ func TestConcurrentSyncOverDegradedLink(t *testing.T) {
 // window re-pushes idempotently — no state may be lost by the time the
 // last clean sync lands.
 func TestConcurrentSyncSurvivesMidFrameResets(t *testing.T) {
-	state := core.NewSyncState(0)
-	hub, err := NewHub(HubConfig{State: state, Target: "conv", Models: convModels(), Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hub.ListenAndServe("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
+	hub := startConvHub(t)
 	proxy := newFaultProxy(t, hub.Addr())
 
 	fleet := newConvFleet(t, 43, 1, 0)
-	leaf, err := NewLeaf(LeafConfig{
+	leaf := newLeaf(t, MeshConfig{
 		Fleet:  fleet,
-		Addr:   proxy.Addr(),
 		Target: "conv",
 		Models: convModels(),
 		NodeID: "reset-leaf",
-		Logf:   t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leaf.Close()
+	}, proxy.Addr())
 
 	syncErrs, syncOKs := 0, 0
 	for window := 1; window <= 8; window++ {
@@ -245,9 +216,9 @@ func TestConcurrentSyncSurvivesMidFrameResets(t *testing.T) {
 			// after the header is out.
 			proxy.plan.killAfter.Store(40)
 		}
-		if err := leaf.Sync(); err != nil {
+		if err := syncNow(leaf); err != nil {
 			syncErrs++
-			if leaf.Connected() {
+			if leaf.link().connected() {
 				t.Fatal("leaf still marked connected after a failed sync")
 			}
 		} else {
@@ -255,7 +226,7 @@ func TestConcurrentSyncSurvivesMidFrameResets(t *testing.T) {
 		}
 	}
 	proxy.plan.killAfter.Store(0)
-	if err := leaf.Sync(); err != nil {
+	if err := syncNow(leaf); err != nil {
 		t.Fatalf("final sync on a clean link: %v", err)
 	}
 	if syncErrs == 0 {
@@ -267,8 +238,7 @@ func TestConcurrentSyncSurvivesMidFrameResets(t *testing.T) {
 	if kills := proxy.plan.kills.Load(); kills == 0 {
 		t.Fatal("proxy recorded no mid-frame kills")
 	}
-	execs, _, _ := hub.RemoteStats()
-	if execs != fleet.Execs() {
+	if execs := hub.RemoteExecs(); execs != fleet.Execs() {
 		t.Fatalf("hub absorbed %d execs, leaf ran %d — resets lost state", execs, fleet.Execs())
 	}
 }
@@ -277,31 +247,17 @@ func TestConcurrentSyncSurvivesMidFrameResets(t *testing.T) {
 // open but stops responding must cost one frame timeout, not a wedged
 // campaign; once the stall clears, the next sync recovers the session.
 func TestConcurrentSyncStalledPeerTimesOut(t *testing.T) {
-	state := core.NewSyncState(0)
-	hub, err := NewHub(HubConfig{State: state, Target: "conv", Models: convModels(), Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hub.ListenAndServe("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
+	hub := startConvHub(t)
 	proxy := newFaultProxy(t, hub.Addr())
 
 	fleet := newConvFleet(t, 47, 1, 0)
-	leaf, err := NewLeaf(LeafConfig{
+	leaf := newLeaf(t, MeshConfig{
 		Fleet:   fleet,
-		Addr:    proxy.Addr(),
 		Target:  "conv",
 		Models:  convModels(),
 		NodeID:  "stall-leaf",
 		Timeout: 300 * time.Millisecond,
-		Logf:    t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leaf.Close()
+	}, proxy.Addr())
 
 	fleet.Drive(nil, core.Budget{Execs: 500}, nil)
 	if err := leaf.Sync(); err != nil {
@@ -310,7 +266,7 @@ func TestConcurrentSyncStalledPeerTimesOut(t *testing.T) {
 
 	proxy.plan.stall.Store(true)
 	start := time.Now()
-	err = leaf.Sync()
+	err := leaf.Sync()
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("sync against a stalled peer succeeded")
@@ -321,11 +277,10 @@ func TestConcurrentSyncStalledPeerTimesOut(t *testing.T) {
 	proxy.plan.stall.Store(false)
 
 	fleet.Drive(nil, core.Budget{Execs: 1000}, nil)
-	if err := leaf.Sync(); err != nil {
+	if err := syncNow(leaf); err != nil {
 		t.Fatalf("sync after stall cleared: %v", err)
 	}
-	execs, _, _ := hub.RemoteStats()
-	if execs != fleet.Execs() {
+	if execs := hub.RemoteExecs(); execs != fleet.Execs() {
 		t.Fatalf("hub absorbed %d execs, leaf ran %d after stall recovery", execs, fleet.Execs())
 	}
 }

@@ -1,8 +1,12 @@
 package fleetnet
 
 import (
+	"fmt"
+	"net"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -66,34 +70,73 @@ func newLocalFleet(t *testing.T, seed uint64) *core.Fleet {
 	return f
 }
 
-func startHub(t *testing.T, state *core.SyncState, models []*datamodel.Model) *Hub {
+// listenHub makes a hub-shaped node over fleet: a mesh listening on addr
+// with no peers of its own. The fleet stays idle; its State() is the
+// campaign state the hub serves.
+func listenHub(t *testing.T, fleet *core.Fleet, target string, models []*datamodel.Model, addr string) (*Mesh, error) {
 	t.Helper()
-	hub, err := NewHub(HubConfig{State: state, Target: "libmodbus", Models: models, Logf: t.Logf})
+	hub, err := NewMesh(MeshConfig{Fleet: fleet, Target: target, Models: models, NodeID: "hub", Logf: t.Logf})
+	if err != nil {
+		return nil, err
+	}
+	if err := hub.ListenAndServe(addr); err != nil {
+		return nil, err
+	}
+	t.Cleanup(func() { hub.Close() })
+	return hub, nil
+}
+
+// startHub starts a libmodbus hub over a fresh idle fleet on a free
+// loopback port and returns it with that fleet.
+func startHub(t *testing.T, models []*datamodel.Model) (*Mesh, *core.Fleet) {
+	t.Helper()
+	fleet, _ := newLeafFleet(t, 0, 0)
+	hub, err := listenHub(t, fleet, "libmodbus", models, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := hub.ListenAndServe("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { hub.Close() })
-	return hub
+	return hub, fleet
 }
 
-func newTestLeaf(t *testing.T, fleet *core.Fleet, tgt targets.Target, addr, id string) *Leaf {
+// newLeaf makes a leaf-shaped node from cfg: a mesh that never listens,
+// with addr as its one static peer.
+func newLeaf(t *testing.T, cfg MeshConfig, addr string) *Mesh {
 	t.Helper()
-	leaf, err := NewLeaf(LeafConfig{
-		Fleet:  fleet,
-		Addr:   addr,
-		Target: "libmodbus",
-		Models: tgt.Models(),
-		NodeID: id,
-		Logf:   t.Logf,
-	})
+	cfg.Peers, cfg.StaticOnly = []string{addr}, true
+	if cfg.Logf == nil {
+		cfg.Logf = t.Logf
+	}
+	leaf, err := NewMesh(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { leaf.Close() })
 	return leaf
+}
+
+func newTestLeaf(t *testing.T, fleet *core.Fleet, tgt targets.Target, addr, id string) *Mesh {
+	t.Helper()
+	return newLeaf(t, MeshConfig{Fleet: fleet, Target: "libmodbus", Models: tgt.Models(), NodeID: id}, addr)
+}
+
+// link returns a leaf node's single uplink, creating it as the next sync
+// round would.
+func (m *Mesh) link() *uplink {
+	m.ensureUplinks()
+	for _, u := range m.uplinks {
+		return u
+	}
+	return nil
+}
+
+// syncNow runs a sync round with the redial backoff cleared, so a test
+// that just broke a link sees the redial on the very next round instead
+// of a skipped one.
+func syncNow(m *Mesh) error {
+	for _, u := range m.uplinks {
+		u.skip = 0
+	}
+	return m.Sync()
 }
 
 // runSynced drives fleet to execBudget total executions, calling sync
@@ -123,17 +166,17 @@ func runSynced(t testing.TB, fleet *core.Fleet, sync func() error, execBudget, s
 // on the saturable conformance target — see convergence_test.go.)
 func TestLoopbackRealTargetSettles(t *testing.T) {
 	const budget = 40000
-	state := core.NewSyncState(0)
 	fleetA, tgtA := newLeafFleet(t, 99, 0)
 	fleetB, tgtB := newLeafFleet(t, 99, 1)
-	hub := startHub(t, state, tgtA.Models())
+	hub, hubFleet := startHub(t, tgtA.Models())
+	state := hubFleet.State()
 	leafA := newTestLeaf(t, fleetA, tgtA, hub.Addr(), "leaf-a")
 	leafB := newTestLeaf(t, fleetB, tgtB, hub.Addr(), "leaf-b")
 
 	var wg sync.WaitGroup
-	for _, l := range []*Leaf{leafA, leafB} {
+	for _, l := range []*Mesh{leafA, leafB} {
 		wg.Add(1)
-		go func(l *Leaf) {
+		go func(l *Mesh) {
 			defer wg.Done()
 			if err := runSynced(t, l.cfg.Fleet, l.Sync, budget/2, 1024); err != nil {
 				t.Errorf("%v", err)
@@ -141,7 +184,7 @@ func TestLoopbackRealTargetSettles(t *testing.T) {
 		}(l)
 	}
 	wg.Wait()
-	for _, l := range []*Leaf{leafA, leafB} {
+	for _, l := range []*Mesh{leafA, leafB} {
 		if err := l.Sync(); err != nil {
 			t.Fatal(err)
 		}
@@ -152,15 +195,14 @@ func TestLoopbackRealTargetSettles(t *testing.T) {
 	if sa.Edges != hubEdges || sb.Edges != hubEdges {
 		t.Fatalf("fleet did not settle: hub %d, leaf-a %d, leaf-b %d edges", hubEdges, sa.Edges, sb.Edges)
 	}
-	execs, _, connected := hub.RemoteStats()
-	if execs < budget {
+	if execs := hub.RemoteExecs(); execs < budget {
 		t.Fatalf("hub heard of %d remote execs, want >= %d", execs, budget)
 	}
-	if connected != 2 {
+	if _, connected, _ := hub.PeerStats(); connected != 2 {
 		t.Fatalf("hub reports %d connected leaves, want 2", connected)
 	}
-	if _, edges, nodes, ok := leafA.FleetStats(); !ok || edges != hubEdges || nodes != 2 {
-		t.Fatalf("leaf fleet stats = (%d edges, %d leaves, ok=%v), want (%d, 2, true)", edges, nodes, ok, hubEdges)
+	if edges := hubFleet.Stats().Edges; edges != hubEdges {
+		t.Fatalf("hub fleet reports %d edges, want the union's %d", edges, hubEdges)
 	}
 }
 
@@ -168,28 +210,29 @@ func TestLoopbackRealTargetSettles(t *testing.T) {
 // campaign and checks the next sync redials, resumes the journal cursor,
 // and loses nothing.
 func TestLeafReconnectResumes(t *testing.T) {
-	state := core.NewSyncState(0)
 	fleet, tgt := newLeafFleet(t, 7, 0)
-	hub := startHub(t, state, tgt.Models())
+	hub, hubFleet := startHub(t, tgt.Models())
+	state := hubFleet.State()
 	leaf := newTestLeaf(t, fleet, tgt, hub.Addr(), "leaf-r")
 
 	fleet.Drive(nil, core.Budget{Execs: 4000}, nil)
 	if err := leaf.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if !leaf.Connected() {
+	up := leaf.link()
+	if !up.connected() {
 		t.Fatal("leaf should be connected after a successful sync")
 	}
 	edgesBefore := state.Edges()
-	cursorBefore := leaf.session.remoteCursor
+	cursorBefore := up.session.remoteCursor
 
-	leaf.Close() // simulated connection loss
+	up.close() // simulated connection loss
 	fleet.Drive(nil, core.Budget{Execs: fleet.Execs() + 4000}, nil)
 	if err := leaf.Sync(); err != nil {
 		t.Fatalf("sync after reconnect: %v", err)
 	}
-	if leaf.session.remoteCursor < cursorBefore {
-		t.Fatalf("hub cursor went backwards across reconnect: %d -> %d", cursorBefore, leaf.session.remoteCursor)
+	if up.session.remoteCursor < cursorBefore {
+		t.Fatalf("hub cursor went backwards across reconnect: %d -> %d", cursorBefore, up.session.remoteCursor)
 	}
 	if state.Edges() < edgesBefore {
 		t.Fatalf("hub edges shrank across reconnect: %d -> %d", edgesBefore, state.Edges())
@@ -204,9 +247,9 @@ func TestLeafReconnectResumes(t *testing.T) {
 // reconnect: the leaf's resume cursor outruns the new hub's fresh
 // connection state, which must degrade to a full replay, not an error.
 func TestHubRestartOnSameState(t *testing.T) {
-	state := core.NewSyncState(0)
 	fleet, tgt := newLeafFleet(t, 11, 0)
-	hub := startHub(t, state, tgt.Models())
+	hub, hubFleet := startHub(t, tgt.Models())
+	state := hubFleet.State()
 	addr := hub.Addr()
 	leaf := newTestLeaf(t, fleet, tgt, addr, "leaf-h")
 
@@ -216,21 +259,16 @@ func TestHubRestartOnSameState(t *testing.T) {
 	}
 	hub.Close()
 
-	hub2, err := NewHub(HubConfig{State: state, Target: "libmodbus", Models: tgt.Models(), Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hub2.ListenAndServe(addr); err != nil {
+	if _, err := listenHub(t, hubFleet, "libmodbus", tgt.Models(), addr); err != nil {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
-	defer hub2.Close()
 
 	fleet.Drive(nil, core.Budget{Execs: fleet.Execs() + 4000}, nil)
 	// First sync after the hub vanished fails (dead connection detected);
 	// the one after reconnects against the restarted hub.
 	var synced bool
 	for attempt := 0; attempt < 3 && !synced; attempt++ {
-		synced = leaf.Sync() == nil
+		synced = syncNow(leaf) == nil
 	}
 	if !synced {
 		t.Fatal("leaf failed to resync with the restarted hub")
@@ -244,36 +282,28 @@ func TestHubRestartOnSameState(t *testing.T) {
 // or the same target with different data models, must be refused with a
 // reason, not silently merged.
 func TestHandshakeRejectsMismatchedCampaigns(t *testing.T) {
-	state := core.NewSyncState(0)
 	fleet, tgt := newLeafFleet(t, 1, 0)
-	hub := startHub(t, state, tgt.Models())
+	hub, _ := startHub(t, tgt.Models())
 
-	wrongTarget, err := NewLeaf(LeafConfig{
-		Fleet: fleet, Addr: hub.Addr(), Target: "IEC104", Models: tgt.Models(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	wrongTarget := newLeaf(t, MeshConfig{Fleet: fleet, Target: "IEC104", Models: tgt.Models()}, hub.Addr())
 	if err := wrongTarget.Sync(); err == nil {
 		t.Fatal("hub accepted a leaf fuzzing a different target")
 	}
 
 	altModels := []*datamodel.Model{{Name: "bogus", Fields: []*datamodel.Chunk{datamodel.Num("x", 1, 0)}}}
-	wrongModels, err := NewLeaf(LeafConfig{
-		Fleet: fleet, Addr: hub.Addr(), Target: "libmodbus", Models: altModels,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	wrongModels := newLeaf(t, MeshConfig{Fleet: fleet, Target: "libmodbus", Models: altModels}, hub.Addr())
 	if err := wrongModels.Sync(); err == nil {
 		t.Fatal("hub accepted a leaf with mismatched data models")
 	}
 }
 
-// TestVersionNegotiationRule pins the min-of-maxima rule.
+// TestVersionNegotiationRule pins the min-of-maxima rule and the
+// single supported version: v2 and older are refused.
 func TestVersionNegotiationRule(t *testing.T) {
-	if _, err := negotiate(0); err == nil {
-		t.Fatal("protocol 0 must be refused")
+	for _, old := range []uint64{0, 1, 2} {
+		if _, err := negotiate(old); err == nil {
+			t.Fatalf("protocol %d must be refused", old)
+		}
 	}
 	if v, err := negotiate(ProtocolVersion); err != nil || v != ProtocolVersion {
 		t.Fatalf("negotiate(current) = %d, %v", v, err)
@@ -284,13 +314,45 @@ func TestVersionNegotiationRule(t *testing.T) {
 	}
 }
 
+// TestOldHelloRefusedWithVersion: a v1 dialer (no peer-exchange tail) or
+// a v2 dialer gets an error frame naming the supported version, not a
+// session.
+func TestOldHelloRefusedWithVersion(t *testing.T) {
+	_, tgt := newLeafFleet(t, 1, 0)
+	hub, _ := startHub(t, tgt.Models())
+	for _, v := range []uint64{1, 2} {
+		hello := (&helloFrame{version: v, nodeID: "old", target: "libmodbus",
+			digest: ModelDigest("libmodbus", tgt.Models())}).encode(nil)
+		if v == 1 {
+			hello = hello[:len(hello)-2] // empty advertise + zero peer count
+		}
+		conn, err := net.Dial("tcp", hub.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := writeFrame(conn, frameHello, hello); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, err := readFrame(conn)
+		conn.Close()
+		if err != nil {
+			t.Fatalf("v%d hello: %v", v, err)
+		}
+		msg := (&wireReader{buf: payload}).str()
+		if typ != frameError || !strings.Contains(msg, fmt.Sprintf("needs %d", ProtocolVersion)) {
+			t.Fatalf("v%d hello answered with frame %d %q, want an error naming protocol %d", v, typ, msg, ProtocolVersion)
+		}
+	}
+}
+
 // TestCrashRecordsPropagateAcrossFleet: a fault known to one leaf must
 // reach the hub bank and the other leaf, deduplicated, surviving resends.
 func TestCrashRecordsPropagateAcrossFleet(t *testing.T) {
-	state := core.NewSyncState(0)
 	fleetA, tgtA := newLeafFleet(t, 3, 0)
 	fleetB, tgtB := newLeafFleet(t, 3, 1)
-	hub := startHub(t, state, tgtA.Models())
+	hub, hubFleet := startHub(t, tgtA.Models())
+	state := hubFleet.State()
 	leafA := newTestLeaf(t, fleetA, tgtA, hub.Addr(), "leaf-a")
 	leafB := newTestLeaf(t, fleetB, tgtB, hub.Addr(), "leaf-b")
 
@@ -324,7 +386,7 @@ func TestCrashRecordsPropagateAcrossFleet(t *testing.T) {
 		t.Fatal("second leaf missing the relayed fault")
 	}
 	// Resend round (reconnect simulation): nothing may double.
-	leafA.Close()
+	leafA.link().close()
 	if err := leafA.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -347,9 +409,9 @@ func TestCrashRecordsPropagateAcrossFleet(t *testing.T) {
 // TestHubCompactsSharedJournal: with every leaf's cursor advanced, the hub
 // journal must not retain consumed prefixes.
 func TestHubCompactsSharedJournal(t *testing.T) {
-	state := core.NewSyncState(0)
 	fleet, tgt := newLeafFleet(t, 5, 0)
-	hub := startHub(t, state, tgt.Models())
+	hub, hubFleet := startHub(t, tgt.Models())
+	state := hubFleet.State()
 	leaf := newTestLeaf(t, fleet, tgt, hub.Addr(), "leaf-c")
 
 	fleet.Drive(nil, core.Budget{Execs: 6000}, nil)
@@ -357,6 +419,11 @@ func TestHubCompactsSharedJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := leaf.Sync(); err != nil { // second window advances past round one's tail
+		t.Fatal(err)
+	}
+	// The hub's own worker is a journal consumer too; its sync round
+	// flushes it, as a running hub does every window.
+	if err := hub.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	var base, length int
@@ -376,7 +443,7 @@ func TestHubCompactsSharedJournal(t *testing.T) {
 // the fleet must re-converge.
 func TestHubRestartWithLostState(t *testing.T) {
 	fleet, tgt := newLeafFleet(t, 13, 0)
-	hub := startHub(t, core.NewSyncState(0), tgt.Models())
+	hub, _ := startHub(t, tgt.Models())
 	addr := hub.Addr()
 	leaf := newTestLeaf(t, fleet, tgt, addr, "leaf-lost")
 
@@ -384,26 +451,22 @@ func TestHubRestartWithLostState(t *testing.T) {
 	if err := leaf.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if leaf.session.remoteCursor == 0 {
+	if leaf.link().session.remoteCursor == 0 {
 		t.Skip("campaign pushed no puzzles; cursor overrun not exercised")
 	}
 	hub.Close()
 
-	// Restart with lost state: fresh SyncState, empty journal.
-	freshState := core.NewSyncState(0)
-	hub2, err := NewHub(HubConfig{State: freshState, Target: "libmodbus", Models: tgt.Models(), Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hub2.ListenAndServe(addr); err != nil {
+	// Restart with lost state: a fresh fleet, empty journal.
+	freshFleet, _ := newLeafFleet(t, 0, 0)
+	freshState := freshFleet.State()
+	if _, err := listenHub(t, freshFleet, "libmodbus", tgt.Models(), addr); err != nil {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
-	defer hub2.Close()
 
 	fleet.Drive(nil, core.Budget{Execs: fleet.Execs() + 2000}, nil)
 	var synced bool
 	for attempt := 0; attempt < 3 && !synced; attempt++ {
-		synced = leaf.Sync() == nil
+		synced = syncNow(leaf) == nil
 	}
 	if !synced {
 		t.Fatal("leaf failed to resync with the state-lost hub")
@@ -422,16 +485,16 @@ func TestHubRestartWithLostState(t *testing.T) {
 // not block the fleet's shared-journal compaction while the campaign keeps
 // fuzzing; a revived leaf re-registers and still converges.
 func TestClosedLeafDoesNotPinCompaction(t *testing.T) {
-	state := core.NewSyncState(0)
 	fleet, tgt := newLeafFleet(t, 17, 0)
-	hub := startHub(t, state, tgt.Models())
+	hub, hubFleet := startHub(t, tgt.Models())
+	state := hubFleet.State()
 	leaf := newTestLeaf(t, fleet, tgt, hub.Addr(), "leaf-pin")
 
 	fleet.Drive(nil, core.Budget{Execs: 3000}, nil)
 	if err := leaf.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	leaf.Close()
+	leaf.link().close()
 
 	// Keep fuzzing detached; worker syncs keep feeding the shared journal.
 	fleet.Drive(nil, core.Budget{Execs: fleet.Execs() + 5000}, nil)

@@ -24,7 +24,7 @@ type helloFrame struct {
 	// correctly from the moment a resuming peer connects.
 	resumeCursor uint64
 	// Peer exchange (protocol v2): the address other nodes can dial this
-	// node at ("" for a plain leaf with no accept loop) and the mesh peer
+	// node at ("" for a node with no accept loop) and the mesh peer
 	// addresses it knows, so one seed address bootstraps a whole mesh.
 	advertise string
 	peers     []string
@@ -56,7 +56,7 @@ func decodeHello(payload []byte) (*helloFrame, error) {
 		resumeCursor: r.uvarint(),
 	}
 	// The peer-exchange tail was added in protocol v2; tolerate its absence
-	// so a v1-shaped frame still decodes into an empty peer set.
+	// so a v1 hello still decodes far enough to be refused by version.
 	if r.err == nil && r.pos < len(r.buf) {
 		f.advertise = r.str()
 		f.peers = readAddrs(r)
@@ -68,7 +68,7 @@ func decodeHello(payload []byte) (*helloFrame, error) {
 type helloAckFrame struct {
 	version uint64 // negotiated session version
 	digest  uint64 // acceptor's model digest, echoed for symmetric diagnostics
-	hubID   string
+	nodeID  string
 	// peers is the acceptor's known mesh peer set (protocol v2) — how a
 	// node that bootstrapped from one address learns the rest of the mesh.
 	peers []string
@@ -77,13 +77,13 @@ type helloAckFrame struct {
 func (f *helloAckFrame) encode(dst []byte) []byte {
 	dst = appendUvarint(dst, f.version)
 	dst = appendU64(dst, f.digest)
-	dst = appendString(dst, f.hubID)
+	dst = appendString(dst, f.nodeID)
 	return appendAddrs(dst, f.peers)
 }
 
 func decodeHelloAck(payload []byte) (*helloAckFrame, error) {
 	r := &wireReader{buf: payload}
-	f := &helloAckFrame{version: r.uvarint(), digest: r.u64(), hubID: r.str()}
+	f := &helloAckFrame{version: r.uvarint(), digest: r.u64(), nodeID: r.str()}
 	if r.err == nil && r.pos < len(r.buf) {
 		f.peers = readAddrs(r)
 	}
@@ -105,8 +105,8 @@ func appendAddrs(dst []byte, addrs []string) []byte {
 const maxPeerAddrs = 1024
 
 func readAddrs(r *wireReader) []string {
-	n := r.uvarint()
-	if r.err != nil || n == 0 {
+	n := r.count("peer", 1)
+	if n == 0 {
 		return nil
 	}
 	if n > maxPeerAddrs {
@@ -114,7 +114,7 @@ func readAddrs(r *wireReader) []string {
 		return nil
 	}
 	addrs := make([]string, 0, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.err == nil; i++ {
 		addrs = append(addrs, r.str())
 	}
 	return addrs
@@ -133,16 +133,12 @@ func appendPuzzles(dst []byte, ps []corpus.Puzzle) []byte {
 }
 
 func readPuzzles(r *wireReader) []corpus.Puzzle {
-	n := r.uvarint()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > maxFrame/4 { // each puzzle costs ≥ 3 length bytes on the wire
-		r.fail("implausible puzzle count %d", n)
+	n := r.count("puzzle", 3) // signature, model and data lengths
+	if n == 0 {
 		return nil
 	}
 	ps := make([]corpus.Puzzle, 0, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.err == nil; i++ {
 		ps = append(ps, corpus.Puzzle{
 			Signature: r.str(),
 			Model:     r.str(),
@@ -168,16 +164,12 @@ func appendCrashes(dst []byte, rs []*crash.Record) []byte {
 }
 
 func readCrashes(r *wireReader) []*crash.Record {
-	n := r.uvarint()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > maxFrame/8 {
-		r.fail("implausible crash count %d", n)
+	n := r.count("crash", 13) // three lengths, two varints, a fixed u64
+	if n == 0 {
 		return nil
 	}
 	rs := make([]*crash.Record, 0, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.err == nil; i++ {
 		rs = append(rs, &crash.Record{
 			Kind:      mem.FaultKind(r.str()),
 			Site:      r.str(),

@@ -13,15 +13,16 @@ import (
 	"repro/internal/crash"
 )
 
-// Session-lifecycle regression tests for the bugs found reviewing PR 3:
-// the reconnect race on remoteLeaf.connected, the dead resumeCursor wire
+// Session-lifecycle regression tests: the reconnect race on
+// remotePeer.connected, the dead resumeCursor wire
 // field, and all-or-nothing echo suppression in the uplink.
 
-// connCount is a test-only window into the hub's live connection set.
-func (h *Hub) connCount() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.conns)
+// connCount is a test-only window into a node's live inbound connection
+// set.
+func (m *Mesh) connCount() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.conns)
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -50,10 +51,9 @@ func injectPuzzle(state *core.SyncState, p corpus.Puzzle) {
 // teardown must not mark the live session disconnected — only the session
 // currently owning the node id may clear the flag.
 func TestRapidReconnectKeepsConnectedCount(t *testing.T) {
-	state := core.NewSyncState(0)
 	fleet1, tgt1 := newLeafFleet(t, 21, 0)
 	fleet2, tgt2 := newLeafFleet(t, 21, 1)
-	hub := startHub(t, state, tgt1.Models())
+	hub, _ := startHub(t, tgt1.Models())
 
 	leaf1 := newTestLeaf(t, fleet1, tgt1, hub.Addr(), "dup")
 	if err := leaf1.Sync(); err != nil {
@@ -65,27 +65,27 @@ func TestRapidReconnectKeepsConnectedCount(t *testing.T) {
 	if err := leaf2.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, connected := hub.RemoteStats(); connected != 1 {
+	if _, connected := hub.remoteStats(); connected != 1 {
 		t.Fatalf("hub reports %d connected for one node id with two sessions, want 1", connected)
 	}
 
 	// The STALE session dies; its teardown must not touch the live one.
 	leaf1.Close()
 	waitFor(t, "stale connection reap", func() bool { return hub.connCount() == 1 })
-	if _, _, connected := hub.RemoteStats(); connected != 1 {
+	if _, connected := hub.remoteStats(); connected != 1 {
 		t.Fatalf("stale teardown disconnected the live session: connected = %d, want 1", connected)
 	}
 	if err := leaf2.Sync(); err != nil {
 		t.Fatalf("live session broken after stale teardown: %v", err)
 	}
-	if _, _, leaves, ok := leaf2.FleetStats(); !ok || leaves != 1 {
-		t.Fatalf("ack leaves = %d (ok=%v), want 1", leaves, ok)
+	if _, inbound, _ := hub.PeerStats(); inbound != 1 {
+		t.Fatalf("hub inbound peers = %d after the live session's sync, want 1", inbound)
 	}
 
 	// The CURRENT session's teardown does clear the flag.
 	leaf2.Close()
 	waitFor(t, "live connection reap", func() bool { return hub.connCount() == 0 })
-	if _, _, connected := hub.RemoteStats(); connected != 0 {
+	if _, connected := hub.remoteStats(); connected != 0 {
 		t.Fatalf("connected = %d after the owning session closed, want 0", connected)
 	}
 }
@@ -97,10 +97,10 @@ func TestRapidReconnectKeepsConnectedCount(t *testing.T) {
 // is an incremental tail, not a full replay.
 func TestResumeCursorPinsCompactionFromHandshake(t *testing.T) {
 	const puzzleBytes = 1024
-	state := core.NewSyncState(0)
 	fleetX, tgtX := newLeafFleet(t, 23, 0)
 	fleetY, tgtY := newLeafFleet(t, 23, 1)
-	hub := startHub(t, state, tgtX.Models())
+	hub, hubFleet := startHub(t, tgtX.Models())
+	state := hubFleet.State()
 	leafX := newTestLeaf(t, fleetX, tgtX, hub.Addr(), "leaf-x")
 	leafY := newTestLeaf(t, fleetY, tgtY, hub.Addr(), "leaf-y")
 
@@ -114,13 +114,14 @@ func TestResumeCursorPinsCompactionFromHandshake(t *testing.T) {
 	if err := leafX.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if leafX.session.remoteCursor != 3 {
-		t.Fatalf("leaf-x consumed to cursor %d, want 3", leafX.session.remoteCursor)
+	upX := leafX.link()
+	if upX.session.remoteCursor != 3 {
+		t.Fatalf("leaf-x consumed to cursor %d, want 3", upX.session.remoteCursor)
 	}
 
 	// Disconnect and wait for the hub to reap the session (dropping its
 	// registration), then grow the journal past the saved cursor.
-	leafX.Close()
+	upX.close()
 	waitFor(t, "leaf-x session reap", func() bool { return hub.connCount() == 0 })
 	for i := 0; i < 2; i++ {
 		injectPuzzle(state, corpus.Puzzle{
@@ -132,7 +133,12 @@ func TestResumeCursorPinsCompactionFromHandshake(t *testing.T) {
 
 	// Handshake only — no sync yet. The resume cursor alone must pin
 	// compaction at 3 while another peer races ahead and compacts.
-	if err := leafX.dial(context.Background()); err != nil {
+	if err := upX.dial(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// The hub's own worker is a journal consumer too; its sync round
+	// flushes it, as a running hub does every window.
+	if err := hub.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if err := leafY.Sync(); err != nil {
@@ -160,8 +166,8 @@ func TestResumeCursorPinsCompactionFromHandshake(t *testing.T) {
 	if got := rx1 - rx0; got >= 4*puzzleBytes {
 		t.Fatalf("resume window received %d bytes — a full replay, not the 2-puzzle tail", got)
 	}
-	if leafX.session.remoteCursor != 5 {
-		t.Fatalf("leaf-x cursor = %d after resume window, want 5", leafX.session.remoteCursor)
+	if upX.session.remoteCursor != 5 {
+		t.Fatalf("leaf-x cursor = %d after resume window, want 5", upX.session.remoteCursor)
 	}
 }
 
@@ -172,10 +178,11 @@ func TestResumeCursorPinsCompactionFromHandshake(t *testing.T) {
 // degrade every subsequent window to a full replay.
 func TestStaleCursorHealsToIncremental(t *testing.T) {
 	const puzzleBytes = 1024
-	state := core.NewSyncState(0)
 	fleet, tgt := newLeafFleet(t, 31, 0)
-	hub := startHub(t, state, tgt.Models())
+	hub, hubFleet := startHub(t, tgt.Models())
+	state := hubFleet.State()
 	leaf := newTestLeaf(t, fleet, tgt, hub.Addr(), "leaf-stale")
+	up := leaf.link()
 
 	for i := 0; i < 3; i++ {
 		injectPuzzle(state, corpus.Puzzle{
@@ -185,13 +192,13 @@ func TestStaleCursorHealsToIncremental(t *testing.T) {
 		})
 	}
 	// A cursor saved against a hub incarnation that no longer exists.
-	leaf.session.remoteCursor = 500
+	up.session.remoteCursor = 500
 
 	// First window: the hub serves the full-replay fallback once...
 	if err := leaf.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if got := leaf.session.remoteCursor; got != 3 {
+	if got := up.session.remoteCursor; got != 3 {
 		t.Fatalf("cursor after stale-resume window = %d, want healed to 3 (journal end)", got)
 	}
 	// ...and subsequent windows are incremental again, near the protocol
@@ -211,9 +218,9 @@ func TestStaleCursorHealsToIncremental(t *testing.T) {
 // even when concurrent local appends land between building a push and
 // applying its ack (the case the old pushCursor==preLen shortcut missed).
 func TestNoEchoOfAbsorbedPuzzlesUnderInterleave(t *testing.T) {
-	state := core.NewSyncState(0)
 	fleet, tgt := newLeafFleet(t, 29, 0)
-	hub := startHub(t, state, tgt.Models())
+	hub, hubFleet := startHub(t, tgt.Models())
+	state := hubFleet.State()
 	leaf := newTestLeaf(t, fleet, tgt, hub.Addr(), "leaf-echo")
 
 	big := corpus.Puzzle{Signature: "hub-big", Data: bytes.Repeat([]byte{0xA5}, 4096), Model: "m"}
@@ -223,17 +230,18 @@ func TestNoEchoOfAbsorbedPuzzlesUnderInterleave(t *testing.T) {
 	// the frames are in flight — in production an inbound mesh session or
 	// a worker flush appends to the shared journal exactly there.
 	fleet.SyncAll()
-	if err := leaf.dial(context.Background()); err != nil {
+	up := leaf.link()
+	if err := up.dial(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	req := leaf.buildPush()
+	req := up.buildPush()
 	local := corpus.Puzzle{Signature: "local-sig", Data: []byte{1, 2, 3, 4}, Model: "m"}
 	injectPuzzle(fleet.State(), local)
-	ack, err := leaf.roundTrip(context.Background(), req)
+	ack, err := up.roundTrip(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := leaf.applyAck(ack); err != nil {
+	if err := up.applyAck(ack); err != nil {
 		t.Fatal(err)
 	}
 	if _, rx := leaf.Traffic(); rx < len(big.Data) {

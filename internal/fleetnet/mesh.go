@@ -3,6 +3,7 @@ package fleetnet
 import (
 	"context"
 	"fmt"
+	"net"
 	"os"
 	"sort"
 	"sync"
@@ -14,10 +15,10 @@ import (
 	"repro/internal/datamodel"
 )
 
-// DefaultMaxUplinks bounds a mesh node's outbound sessions when
-// MeshConfig.MaxUplinks is zero. Convergence only needs the topology
-// connected; past a point more links buy redundancy, not reach.
-const DefaultMaxUplinks = 16
+// maxUplinks bounds a mesh node's outbound sessions. Convergence only
+// needs the topology connected; past a point more links buy redundancy,
+// not reach. Static peers are dialed first when the cap bites.
+const maxUplinks = 16
 
 // meshPeerFails is how many consecutive failed sync attempts a *learned*
 // peer survives before the node forgets its address. Static peers are
@@ -29,11 +30,11 @@ const DefaultMaxUplinks = 16
 // lockstep when it returns.
 const meshPeerFails = 8
 
-// DefaultMeshDialTimeout bounds a mesh uplink's TCP connect when
-// MeshConfig.DialTimeout is zero. Deliberately much tighter than the frame
-// Timeout: a blackholed peer (host down, SYN dropped) must not stall the
-// node's whole sync round — and with it the fuzzing loop — for 30s.
-const DefaultMeshDialTimeout = 2 * time.Second
+// dialTimeout bounds an uplink's TCP connect. Deliberately much tighter
+// than the frame timeout: a blackholed peer (host down, SYN dropped) must
+// not stall the node's whole sync round — and with it the fuzzing loop —
+// for 30s.
+const dialTimeout = 2 * time.Second
 
 // MeshConfig parameterizes a Mesh node.
 type MeshConfig struct {
@@ -44,7 +45,7 @@ type MeshConfig struct {
 	Target string
 	Models []*datamodel.Model
 	// NodeID names this node in its peers' stats; defaults to
-	// hostname/pid/sequence.
+	// hostname/pid/sequence, distinct for several nodes in one process.
 	NodeID string
 	// Advertise is the address other nodes should dial to reach this
 	// node's accept loop. Defaults to the listener address, which is
@@ -62,46 +63,48 @@ type MeshConfig struct {
 	// For fixed topologies — rings, lines — where the experiment is the
 	// shape.
 	StaticOnly bool
-	// MaxUplinks caps concurrent outbound sessions (0 = DefaultMaxUplinks).
-	// Static peers are dialed first when the cap bites.
-	MaxUplinks int
-	// Timeout bounds each frame read/write (0 = 30s).
+	// Timeout bounds each frame read/write (0 = 30s). A peer that stalls
+	// longer is dropped; it reconnects with its resume cursor.
 	Timeout time.Duration
-	// DialTimeout bounds each uplink's TCP connect
-	// (0 = DefaultMeshDialTimeout).
-	DialTimeout time.Duration
 	// Logf receives lifecycle messages (nil = no logging).
 	Logf func(format string, args ...any)
 }
 
-// Mesh runs one node of a hub-less fleet: the hub accept loop serving
-// inbound peers plus leaf-style uplinks to every known peer address, all
-// merging through the node's own fleet state. Where a hub/leaf fleet has
-// one cursor per leaf all held by the hub, a mesh node holds a vector of
-// peerSessions — one per link — so any node can vanish and the remaining
-// links keep the campaign converging; sync bandwidth scales with links,
-// not through one box.
+// Mesh is one fleetnet node. It may serve inbound peers from an accept
+// loop (ListenAndServe), keep uplinks to every known peer address, or
+// both, and every link merges through the node's own fleet state — so a
+// fleet needs no designated hub, any node can vanish while the remaining
+// links keep the campaign converging, and sync bandwidth scales with
+// links, not through one box. The node holds a vector of peerSessions,
+// one per link.
+//
+// A hub and a leaf are two shapes of this node: a hub listens and has no
+// peers; a leaf dials one static peer and never listens.
 //
 // Sync and Close must be called from the fleet's driving goroutine; the
-// accept loop and its handlers run in the background like a Hub's. The
-// run loop lives in the public session driver, peachstar.Campaign.Start,
-// which alternates core.Fleet.Drive windows with Mesh.SyncContext.
-//
-// A node need not listen at all: without ListenAndServe it only dials
-// its peers, which is how the public API expresses a leaf (one static
-// peer, no accept loop); with a listener and no peers it is a hub.
+// accept loop and its handlers run in the background. The run loop lives
+// in the public session driver, peachstar.Campaign.Start, which
+// alternates core.Fleet.Drive windows with Mesh.SyncContext.
 type Mesh struct {
-	cfg MeshConfig
-	hub *Hub
+	cfg    MeshConfig
+	state  *core.SyncState
+	digest uint64
 
-	// mu guards known and advertise, which handler goroutines touch
-	// through the peer-exchange callbacks.
+	// mu guards the peer book (known, advertise) and the accept side
+	// (ln, conns, remotes, closed), which handler goroutines share with
+	// the driving goroutine.
 	mu        sync.Mutex
 	known     map[string]bool // address → static?
 	advertise string
+	ln        net.Listener
+	conns     map[net.Conn]struct{}
+	remotes   map[string]*remotePeer
+	closed    bool
+	// wg tracks the accept loop and its connection handlers.
+	wg sync.WaitGroup
 
 	// uplinks is touched only by the driving goroutine.
-	uplinks map[string]*meshUplink
+	uplinks map[string]*uplink
 	// bk draws the redial-backoff jitter; seeded from the node ID so each
 	// node jitters its own way (anti-thundering-herd) yet reproduces its
 	// schedule across runs. Touched only by the driving goroutine.
@@ -110,13 +113,94 @@ type Mesh struct {
 	// stays cumulative.
 	closedTx, closedRx int
 
-	// localExecs is the node's own execution count as of the last window,
+	// localExecs is the node's own execution count as of the last round,
 	// published for handler goroutines building acks.
-	localExecs int64
+	localExecs atomic.Int64
 	// pubUplinks is the connected-uplink count as of the last sync round,
 	// published so PeerStats can be read from display goroutines without
 	// touching the driving goroutine's uplink map.
-	pubUplinks int64
+	pubUplinks atomic.Int64
+}
+
+// nodeSeq disambiguates default node ids for several nodes in one process
+// (the loopback examples and tests).
+var nodeSeq uint32
+
+// NewMesh validates the configuration and prepares the node. Nothing
+// listens or dials until ListenAndServe and the first Sync.
+func NewMesh(cfg MeshConfig) (*Mesh, error) {
+	if cfg.Fleet == nil {
+		return nil, fmt.Errorf("fleetnet: MeshConfig.Fleet is required")
+	}
+	if cfg.Target == "" {
+		return nil, fmt.Errorf("fleetnet: MeshConfig.Target is required")
+	}
+	if cfg.NodeID == "" {
+		host, _ := os.Hostname()
+		cfg.NodeID = fmt.Sprintf("%s/%d/%d", host, os.Getpid(), atomic.AddUint32(&nodeSeq, 1))
+	}
+	if cfg.Timeout <= 0 {
+		cfg.Timeout = 30 * time.Second
+	}
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
+	}
+	m := &Mesh{
+		cfg:       cfg,
+		state:     cfg.Fleet.State(),
+		digest:    ModelDigest(cfg.Target, cfg.Models),
+		known:     make(map[string]bool),
+		advertise: cfg.Advertise,
+		conns:     make(map[net.Conn]struct{}),
+		remotes:   make(map[string]*remotePeer),
+		uplinks:   make(map[string]*uplink),
+		bk:        backoff.New(hashID(cfg.NodeID)),
+	}
+	for _, a := range cfg.Peers {
+		if a != "" {
+			m.known[a] = true
+		}
+	}
+	return m, nil
+}
+
+// ModelDigest fingerprints a target's model set for the handshake: both
+// ends of a link must be fuzzing the same target with structurally
+// identical data models, or their rule signatures would disagree and
+// donated puzzles would be garbage. The digest is an FNV-1a walk over the
+// target name and every chunk's name, kind, and construction-rule
+// signature in tree order.
+func ModelDigest(target string, models []*datamodel.Model) uint64 {
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	h := uint64(offset)
+	mix := func(s string) {
+		for i := 0; i < len(s); i++ {
+			h ^= uint64(s[i])
+			h *= prime
+		}
+		h ^= 0xff // field separator
+		h *= prime
+	}
+	var walk func(c *datamodel.Chunk)
+	walk = func(c *datamodel.Chunk) {
+		mix(c.Name)
+		mix(fmt.Sprintf("%d", c.Kind))
+		mix(datamodel.RuleSignature(c))
+		for _, ch := range c.Children {
+			walk(ch)
+		}
+	}
+	mix(target)
+	for _, m := range models {
+		mix(m.Name)
+		for _, c := range m.Fields {
+			walk(c)
+		}
+	}
+	return h
 }
 
 // hashID folds a node ID into the 64-bit seed of the node's backoff
@@ -133,85 +217,6 @@ func hashID(id string) uint64 {
 	}
 	return h
 }
-
-// meshUplink is one outbound link plus its retry accounting.
-type meshUplink struct {
-	leaf   *Leaf
-	static bool
-	fails  int // consecutive failed attempts; learned peers are forgotten past meshPeerFails
-	skip   int // disconnected-redial backoff: windows to sit out before the next attempt
-}
-
-// NewMesh validates the configuration and prepares the node. Nothing
-// listens or dials until ListenAndServe and the first Sync.
-func NewMesh(cfg MeshConfig) (*Mesh, error) {
-	if cfg.Fleet == nil {
-		return nil, fmt.Errorf("fleetnet: MeshConfig.Fleet is required")
-	}
-	if cfg.Target == "" {
-		return nil, fmt.Errorf("fleetnet: MeshConfig.Target is required")
-	}
-	if cfg.NodeID == "" {
-		host, _ := os.Hostname()
-		cfg.NodeID = fmt.Sprintf("%s/%d/%d", host, os.Getpid(), atomic.AddUint32(&leafSeq, 1))
-	}
-	if cfg.MaxUplinks <= 0 {
-		cfg.MaxUplinks = DefaultMaxUplinks
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = DefaultMeshDialTimeout
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
-	m := &Mesh{
-		cfg:       cfg,
-		known:     make(map[string]bool),
-		uplinks:   make(map[string]*meshUplink),
-		advertise: cfg.Advertise,
-		bk:        backoff.New(hashID(cfg.NodeID)),
-	}
-	for _, a := range cfg.Peers {
-		if a != "" {
-			m.known[a] = true
-		}
-	}
-	hub, err := NewHub(HubConfig{
-		State:      cfg.Fleet.State(),
-		Target:     cfg.Target,
-		Models:     cfg.Models,
-		NodeID:     cfg.NodeID,
-		LocalExecs: func() int { return int(atomic.LoadInt64(&m.localExecs)) },
-		Timeout:    cfg.Timeout,
-		Logf:       cfg.Logf,
-		KnownPeers: m.knownPeers,
-		LearnPeer:  m.learnPeer,
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.hub = hub
-	return m, nil
-}
-
-// ListenAndServe starts the node's accept loop on addr (":0" picks a free
-// port). It returns once the listener is installed; inbound peers are
-// served in the background.
-func (m *Mesh) ListenAndServe(addr string) error {
-	if err := m.hub.ListenAndServe(addr); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	if m.advertise == "" {
-		m.advertise = m.hub.Addr()
-	}
-	m.mu.Unlock()
-	return nil
-}
-
-// Addr returns the accept loop's bound address, or "" before
-// ListenAndServe.
-func (m *Mesh) Addr() string { return m.hub.Addr() }
 
 // knownPeers snapshots the peer book for a handshake, sorted for
 // determinism. Called from handler goroutines and uplink dials.
@@ -283,9 +288,8 @@ func (m *Mesh) ensureUplinks() {
 			want = append(want, cand{addr, static})
 		}
 	}
-	advertise := m.advertise
 	m.mu.Unlock()
-	// Static peers first: when MaxUplinks bites, operator-configured links
+	// Static peers first: when maxUplinks bites, operator-configured links
 	// must never be starved by alphabetically-earlier learned addresses.
 	sort.Slice(want, func(i, j int) bool {
 		if want[i].static != want[j].static {
@@ -293,7 +297,7 @@ func (m *Mesh) ensureUplinks() {
 		}
 		return want[i].addr < want[j].addr
 	})
-	inbound := m.hub.InboundAdvertised()
+	inbound := m.inboundAdvertised()
 	for _, c := range want {
 		if _, ok := m.uplinks[c.addr]; ok {
 			continue
@@ -301,27 +305,10 @@ func (m *Mesh) ensureUplinks() {
 		if !c.static && inbound[c.addr] {
 			continue
 		}
-		if len(m.uplinks) >= m.cfg.MaxUplinks {
+		if len(m.uplinks) >= maxUplinks {
 			break
 		}
-		leaf, err := NewLeaf(LeafConfig{
-			Fleet:       m.cfg.Fleet,
-			Addr:        c.addr,
-			Target:      m.cfg.Target,
-			Models:      m.cfg.Models,
-			NodeID:      m.cfg.NodeID,
-			Timeout:     m.cfg.Timeout,
-			DialTimeout: m.cfg.DialTimeout,
-			Logf:        m.cfg.Logf,
-			Advertise:   advertise,
-			KnownPeers:  m.knownPeers,
-			LearnPeer:   m.learnPeer,
-		})
-		if err != nil {
-			m.cfg.Logf("fleetnet mesh %s: uplink to %s: %v", m.cfg.NodeID, c.addr, err)
-			continue
-		}
-		m.uplinks[c.addr] = &meshUplink{leaf: leaf, static: c.static}
+		m.uplinks[c.addr] = m.newUplink(c.addr, c.static)
 	}
 }
 
@@ -331,8 +318,7 @@ func (m *Mesh) ensureUplinks() {
 // redials with capped exponential backoff and jitter, a learned peer that
 // stays dead is eventually forgotten — and the first error is returned for
 // logging; inbound sessions sync themselves through the accept loop. The
-// node's fleet must not be running (call between Drive windows, like
-// Leaf.Sync).
+// node's fleet must not be running (call between Drive windows).
 func (m *Mesh) Sync() error { return m.SyncContext(context.Background()) }
 
 // SyncContext is Sync under a context: cancellation interrupts the uplink
@@ -345,13 +331,14 @@ func (m *Mesh) SyncContext(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	atomic.StoreInt64(&m.localExecs, int64(m.cfg.Fleet.Execs()))
-	// Flush the workers into the shared state before (and independent of)
-	// any uplink exchange: a node whose links all point inward — the seed
-	// node of a freshly bootstrapped mesh — must still present its latest
-	// discoveries to the peers that pull from it, and must fold their
-	// pushes back into its workers. Uplink syncs flush again around their
-	// own windows; SyncAll converges to a no-op, so the overlap is cheap.
+	m.localExecs.Store(int64(m.cfg.Fleet.Execs()))
+	// Flush the workers into the shared state before any uplink exchange:
+	// a node whose links all point inward — a hub, or the seed node of a
+	// freshly bootstrapped mesh — must still present its latest
+	// discoveries to the peers that pull from it, and fold their pushes
+	// back into its workers. Uplinks only move material between the
+	// shared state and the wire, so one more flush after them, when any
+	// exchanged, hands the workers everything the round pulled in.
 	m.cfg.Fleet.SyncAll()
 	m.ensureUplinks()
 	m.pruneDuplicateLinks()
@@ -360,25 +347,27 @@ func (m *Mesh) SyncContext(ctx context.Context) error {
 		addrs = append(addrs, a)
 	}
 	sort.Strings(addrs)
-	var firstErr error
+	var firstErr, ctxErr error
+	exchanged := false
 	for _, addr := range addrs {
-		if err := ctx.Err(); err != nil {
-			return err
+		if ctxErr = ctx.Err(); ctxErr != nil {
+			break
 		}
 		u := m.uplinks[addr]
-		if !u.leaf.Connected() && u.skip > 0 {
+		if !u.connected() && u.skip > 0 {
 			u.skip-- // back off a dead peer's redial; don't stall the round
 			continue
 		}
-		err := u.leaf.SyncContext(ctx)
+		err := u.exchange(ctx)
 		if err == nil {
+			exchanged = true
 			u.fails, u.skip = 0, 0
 			continue
 		}
-		if ctx.Err() != nil {
+		if ctxErr = ctx.Err(); ctxErr != nil {
 			// The campaign was canceled, not the peer: no failure is
 			// charged against the link.
-			return ctx.Err()
+			break
 		}
 		u.fails++
 		u.skip = m.bk.Steps(u.fails, meshPeerFails)
@@ -391,7 +380,13 @@ func (m *Mesh) SyncContext(ctx context.Context) error {
 			m.forgetPeer(addr)
 		}
 	}
+	if exchanged {
+		m.cfg.Fleet.SyncAll()
+	}
 	m.publishUplinks()
+	if ctxErr != nil {
+		return ctxErr
+	}
 	return firstErr
 }
 
@@ -401,11 +396,11 @@ func (m *Mesh) SyncContext(ctx context.Context) error {
 func (m *Mesh) publishUplinks() {
 	n := 0
 	for _, u := range m.uplinks {
-		if u.leaf.Connected() {
+		if u.connected() {
 			n++
 		}
 	}
-	atomic.StoreInt64(&m.pubUplinks, int64(n))
+	m.pubUplinks.Store(int64(n))
 }
 
 // pruneDuplicateLinks resolves the bootstrap race where both sides of a
@@ -421,11 +416,11 @@ func (m *Mesh) pruneDuplicateLinks() {
 	m.mu.Unlock()
 	var inbound map[string]bool
 	for addr, u := range m.uplinks {
-		if u.static || !u.leaf.Connected() || advertise <= addr {
+		if u.static || !u.connected() || advertise <= addr {
 			continue
 		}
 		if inbound == nil {
-			inbound = m.hub.InboundAdvertised()
+			inbound = m.inboundAdvertised()
 		}
 		if !inbound[addr] {
 			continue
@@ -437,11 +432,10 @@ func (m *Mesh) pruneDuplicateLinks() {
 
 // dropUplink closes one uplink, retaining its traffic counters. The
 // address stays in the peer book unless the caller also forgets it.
-func (m *Mesh) dropUplink(addr string, u *meshUplink) {
-	tx, rx := u.leaf.Traffic()
-	m.closedTx += tx
-	m.closedRx += rx
-	u.leaf.Close()
+func (m *Mesh) dropUplink(addr string, u *uplink) {
+	m.closedTx += u.txBytes
+	m.closedRx += u.rxBytes
+	u.close()
 	delete(m.uplinks, addr)
 }
 
@@ -451,44 +445,55 @@ func (m *Mesh) dropUplink(addr string, u *meshUplink) {
 // progress displays consume it from event loops while the driving
 // goroutine syncs.
 func (m *Mesh) PeerStats() (uplinks, inbound, known int) {
-	uplinks = int(atomic.LoadInt64(&m.pubUplinks))
-	_, _, inbound = m.hub.RemoteStats()
+	_, inbound = m.remoteStats()
 	m.mu.Lock()
 	known = len(m.known)
 	m.mu.Unlock()
-	return uplinks, inbound, known
+	return int(m.pubUplinks.Load()), inbound, known
 }
 
 // RemoteExecs sums the executions reported by peers over inbound sessions
 // (absolute figures, surviving disconnects) — the node's window into work
 // it did not do itself.
 func (m *Mesh) RemoteExecs() int {
-	execs, _, _ := m.hub.RemoteStats()
+	execs, _ := m.remoteStats()
 	return execs
 }
 
 // Traffic returns the cumulative bytes this node's uplinks have sent and
-// received in sync frames (inbound sessions are accounted by their
-// dialer's Traffic).
+// received in sync frames, headers included and handshakes excluded
+// (inbound sessions are accounted by their dialer's Traffic) — the
+// measurement behind `make bench-fleetnet`.
 func (m *Mesh) Traffic() (tx, rx int) {
 	tx, rx = m.closedTx, m.closedRx
 	for _, u := range m.uplinks {
-		t, r := u.leaf.Traffic()
-		tx += t
-		rx += r
+		tx += u.txBytes
+		rx += u.rxBytes
 	}
 	return tx, rx
 }
 
 // Close tears the node down: every uplink is closed (unregistering its
-// journal consumers) and the accept loop stops. The fleet and everything
-// already merged stay intact — a mesh with a closed node keeps converging
-// over its remaining links, and a replacement node bootstraps back in from
-// any live peer address.
+// journal consumers), the accept loop stops, every inbound peer is
+// disconnected, and Close waits for the connection handlers to drain.
+// The fleet and everything already merged stay intact — a mesh with a
+// closed node keeps converging over its remaining links, and a
+// replacement node on the same fleet resumes cleanly.
 func (m *Mesh) Close() error {
 	for addr, u := range m.uplinks {
 		m.dropUplink(addr, u)
 	}
 	m.publishUplinks()
-	return m.hub.Close()
+	m.mu.Lock()
+	m.closed = true
+	ln := m.ln
+	for c := range m.conns {
+		c.Close()
+	}
+	m.mu.Unlock()
+	if ln != nil {
+		ln.Close()
+	}
+	m.wg.Wait()
+	return nil
 }

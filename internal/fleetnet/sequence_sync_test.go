@@ -53,9 +53,9 @@ func TestSequenceSyncLossless(t *testing.T) {
 		return session.Encode(nil, seq)
 	}
 
-	state := core.NewSyncState(0)
 	fleet, tgt := newLeafFleet(t, 31, 0)
-	hub := startHub(t, state, tgt.Models())
+	hub, hubFleet := startHub(t, tgt.Models())
+	state := hubFleet.State()
 	leaf := newTestLeaf(t, fleet, tgt, hub.Addr(), "seq-leaf")
 
 	// Push: a sequence retained by the leaf's session campaign reaches the

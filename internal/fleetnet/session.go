@@ -8,9 +8,9 @@ import (
 
 // peerSession is the per-peer sync bookkeeping one node keeps about one
 // remote: everything needed to turn full-state exchange into deltas. The
-// protocol is symmetric — a hub connection, a leaf uplink, and both ends of
-// a mesh link keep exactly the same three pieces of state — so it lives in
-// one struct used by both directions:
+// protocol is symmetric — both ends of a link, the inbound connection and
+// the uplink, keep exactly the same pieces of state — so it lives in one
+// struct used by both directions:
 //
 //   - shadow: the coverage the remote is known to hold (what we sent plus
 //     what it sent us); outgoing bitmap deltas are computed against it.
@@ -18,13 +18,12 @@ import (
 //     journal (everything below it has crossed this link) and the
 //     registration that pins journal compaction no further than it.
 //   - remoteCursor: the resumable read position in the *remote's* journal.
-//     A node with several peers holds one per link — the vector of cursors
-//     that replaces PR 3's single hubCursor.
+//     A node with several peers holds one per link — a vector of cursors.
 //   - sentCrash: per-fault watermarks of the highest Count the remote is
 //     known to hold, so crash records are only re-sent when they grow.
 //
-// All fields are owned by the goroutine driving the link (the hub handler
-// or the uplink's driving loop); methods that touch the shared state must
+// All fields are owned by the goroutine driving the link (the connection
+// handler or the node's driving goroutine); methods that touch the shared state must
 // be called under the SyncState lock (inside an Exchange).
 type peerSession struct {
 	shadow *coverage.Virgin

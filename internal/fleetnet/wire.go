@@ -7,17 +7,14 @@
 // this package only adds framing, transport, topology, and reconnect
 // handling.
 //
-// Two topologies share one session protocol:
-//
-//   - hub/leaf: a Hub serves one campaign's shared state
-//     (core.SyncState); Leaf nodes running local fleets dial it and sync
-//     every N executions.
-//   - mesh: every Mesh node runs the hub accept loop *and* leaf-style
-//     uplinks to its peer set, so the fleet has no designated hub. Each
-//     link keeps its own peerSession (shadow bitmap, journal cursors,
-//     crash watermarks) — a vector of cursors per node, one per peer —
-//     and the handshake exchanges peer addresses, so one seed address
-//     bootstraps a whole mesh.
+// One node type, Mesh, carries every topology. A node may serve inbound
+// peers from an accept loop, keep uplinks to a peer set, or both, and
+// every link merges through the node's own fleet state. Each link keeps
+// its own peerSession (shadow bitmap, journal cursors, crash watermarks)
+// — a vector of cursors per node, one per link — and the handshake
+// exchanges peer addresses, so one seed address bootstraps a whole mesh.
+// A star is two shapes of the same node: a hub listens and has no peers,
+// a leaf dials one static peer and listens on nothing.
 //
 // # Wire protocol
 //
@@ -43,15 +40,14 @@
 // # Version negotiation
 //
 // A dialer sends the highest protocol version it speaks; the acceptor
-// answers with min(its own highest, the dialer's). Both sides then require
-// the negotiated version to be at least their own minimum supported
-// version — otherwise they send an error frame and close. Version 2 added
-// the peer-exchange fields to hello/helloAck; version 3 added session
+// answers with min(its own, the dialer's). Both sides then require the
+// negotiated version to be ProtocolVersion — otherwise they send an error
+// frame naming the supported version and close. Version 2 added the
+// peer-exchange fields to hello/helloAck; version 3 added session
 // sequences to the corpus delta (as opaque puzzles — no layout change).
-// This build speaks version 3 and accepts version 2, so a v1 peer is
-// refused with a clear error rather than misdecoding frames, while a v2
-// peer interoperates fully (sequence entries are opaque to it and relay
-// losslessly).
+// This build speaks version 3 only, so a v1 or v2 peer is refused with a
+// clear error rather than joining a fleet whose sequence entries it
+// cannot interpret.
 //
 // # Determinism
 //
@@ -73,25 +69,13 @@ import (
 	"io"
 )
 
-// Protocol version bounds spoken by this build. See the package comment
-// for the negotiation rule.
-const (
-	// ProtocolVersion is the highest protocol version this build speaks.
-	// v2 added the peer-exchange fields to hello/helloAck. v3 declares
-	// session-sequence corpus entries (reserved "seq\x00" signature
-	// namespace, versioned session-codec Data): sequences ride the
-	// generic puzzle delta with no frame-layout change, so the bump is a
-	// capability advertisement, not a wire change.
-	ProtocolVersion = 3
-	// MinProtocolVersion is the lowest peer version this build accepts.
-	// v1 peers are refused: their hello/helloAck layouts lack the v2
-	// peer-exchange tail, and a session negotiated below a build's wire
-	// layout would misdecode frames. v2 peers remain accepted — the v3
-	// sequence entries are ordinary puzzles to them, stored and relayed
-	// losslessly (signature, model and data are opaque on the wire), so a
-	// mixed-version fleet still converges to the union of all work.
-	MinProtocolVersion = 2
-)
+// ProtocolVersion is the one protocol version this build speaks (see the
+// package comment for the negotiation rule). v2 added the peer-exchange
+// fields to hello/helloAck. v3 declares session-sequence corpus entries
+// (reserved "seq\x00" signature namespace, versioned session-codec Data):
+// sequences ride the generic puzzle delta with no frame-layout change, so
+// the bump is a capability advertisement, not a wire change.
+const ProtocolVersion = 3
 
 // magic opens every hello frame; it rejects accidental connections from
 // non-fleetnet clients before any allocation-heavy decoding.
@@ -124,21 +108,34 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame, returning its type and payload.
+// frameChunk is the payload buffer readFrame starts from before the
+// bytes that actually arrive justify growing it.
+const frameChunk = 64 << 10
+
+// readFrame reads one frame, returning its type and payload. The payload
+// buffer grows with the bytes received rather than being presized from
+// the header, so a corrupt length that claims maxFrame costs what the
+// peer really sent, not 64 MiB up front.
 func readFrame(r io.Reader) (byte, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n == 0 || n > maxFrame {
 		return 0, nil, fmt.Errorf("fleetnet: frame length %d out of range", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
+	buf := make([]byte, min(n, frameChunk))
+	for off := 0; ; {
+		k, err := io.ReadFull(r, buf[off:])
+		if err != nil {
+			return 0, nil, err
+		}
+		if off += k; off == n {
+			return buf[0], buf[1:], nil
+		}
+		buf = append(buf, make([]byte, min(n-off, off))...)
 	}
-	return buf[0], buf[1:], nil
 }
 
 // appendUvarint appends v as an unsigned varint.
@@ -194,6 +191,21 @@ func (r *wireReader) uvarint() uint64 {
 	return v
 }
 
+// count reads an element count and bounds it by the payload left: each
+// element costs at least minSize encoded bytes, so a larger claim is a
+// corrupt frame, refused before any slice is presized from it.
+func (r *wireReader) count(what string, minSize int) int {
+	n := r.uvarint()
+	if r.err != nil {
+		return 0
+	}
+	if left := len(r.buf) - r.pos; n > uint64(left/minSize) {
+		r.fail("implausible %s count %d with %d bytes left", what, n, left)
+		return 0
+	}
+	return int(n)
+}
+
 func (r *wireReader) blob() []byte {
 	n := r.uvarint()
 	if r.err != nil {
@@ -245,13 +257,8 @@ func sendError(w io.Writer, format string, args ...any) {
 // negotiate applies the version rule from the package comment to a peer's
 // advertised version and returns the effective session version.
 func negotiate(peer uint64) (uint64, error) {
-	eff := peer
-	if eff > ProtocolVersion {
-		eff = ProtocolVersion
+	if peer < ProtocolVersion {
+		return 0, fmt.Errorf("fleetnet: peer speaks protocol %d, this build needs %d", peer, ProtocolVersion)
 	}
-	if eff < MinProtocolVersion {
-		return 0, fmt.Errorf("fleetnet: peer speaks protocol %d, this build needs %d..%d",
-			peer, MinProtocolVersion, ProtocolVersion)
-	}
-	return eff, nil
+	return ProtocolVersion, nil
 }
