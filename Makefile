@@ -103,9 +103,10 @@ api-snapshot:
 
 # Short native-fuzz smoke runs over the crack/generate round-trip targets,
 # the campaign-checkpoint decoder (truncated, corrupt, and
-# non-minimal-varint envelopes must be rejected with errors, never panics)
-# and the fleetnet frame decoders (network bytes: errors, never panics, no
-# allocation past the frame and remaining-bytes caps).
+# non-minimal-varint envelopes must be rejected with errors, never panics),
+# the fleetnet frame decoders (network bytes: errors, never panics, no
+# allocation past the frame and remaining-bytes caps) and the Pit parser
+# (user files: errors, never panics, and accepted models generate).
 fuzz:
 	$(GO) test ./internal/datamodel -fuzz 'FuzzCrack$$' -fuzztime 10s -run XXX
 	$(GO) test ./internal/datamodel -fuzz 'FuzzGenerate$$' -fuzztime 10s -run XXX
@@ -113,19 +114,20 @@ fuzz:
 	$(GO) test ./internal/session -fuzz 'FuzzSequenceCodec$$' -fuzztime 10s -run XXX
 	$(GO) test . -fuzz 'FuzzCheckpointDecode$$' -fuzztime 10s -run XXX
 	$(GO) test ./internal/fleetnet -fuzz 'FuzzFrameDecode$$' -fuzztime 10s -run XXX
+	$(GO) test ./internal/pit -fuzz 'FuzzParseDocument$$' -fuzztime 10s -run XXX
 
 # Serial-vs-sharded throughput on libmodbus (the BENCH_parallel.json rows).
 bench-parallel:
 	$(GO) test -bench 'BenchmarkParallelWorkers' -benchtime 50000x -run XXX .
 
-# Execution hot-path measurement: emits the BENCH_hotpath.json fields
-# (ns/exec, execs/sec, allocs/exec, bytes/exec) for the libmodbus Peach*
-# loop as JSON on stdout. Paste into the "after" slot of BENCH_hotpath.json
-# when recording a hot-path change. The per-scan microbenchmarks live in
+# Execution hot-path measurement: the BENCH_hotpath.json fields for the
+# libmodbus Peach* loop. One op is one execution, so ns/op is ns/exec,
+# B/op is bytes/exec, allocs/op is allocs/exec, and execs/s is reported
+# alongside. Copy into the "after" slot of BENCH_hotpath.json when
+# recording a hot-path change. The per-scan microbenchmarks live in
 # internal/coverage (word-level vs byte-reference).
 bench-hotpath:
-	$(GO) run ./cmd/benchhotpath
-	$(GO) test -bench 'BenchmarkHotpathLibmodbus' -benchtime 100000x -run XXX .
+	$(GO) test -bench 'BenchmarkHotpathLibmodbus' -benchtime 100000x -benchmem -run XXX .
 
 # Fleetnet sync-window cost over TCP loopback: emits the
 # BENCH_fleetnet.json measurement fields (per-window latency/bytes, the

@@ -7,8 +7,9 @@
 //   - speedup_x: speed to Peach's final coverage level (§V-B, 1.2X-25X)
 //   - vulns: unique vulnerabilities found (Table I)
 //
-// Budgets here are sized for bench runs; cmd/benchfig4 and cmd/benchtable1
-// run the committed EXPERIMENTS.md configuration.
+// Budgets here are sized for bench runs; cmd/benchfig4 (bench.DefaultConfig:
+// 20000 execs × 5 reps) and cmd/benchtable1 (60000 execs × 4 reps) default
+// to the full evaluation configuration.
 package repro
 
 import (

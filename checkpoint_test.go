@@ -223,6 +223,25 @@ func TestCheckpointWorkerMismatch(t *testing.T) {
 	}
 }
 
+// TestCheckpointAdaptiveMismatch: the adaptive mode is fixed when a
+// campaign is built, so a checkpoint restores only into a campaign of the
+// same mode — an adaptive checkpoint into a static campaign fails, and so
+// does the reverse.
+func TestCheckpointAdaptiveMismatch(t *testing.T) {
+	for _, from := range []bool{true, false} {
+		path := filepath.Join(t.TempDir(), "mode.ckpt")
+		donor := newCheckpointCampaign(t, "libmodbus", 1, from, false)
+		runTo(t, donor, 4000)
+		if err := donor.Checkpoint(path); err != nil {
+			t.Fatal(err)
+		}
+		other := newCheckpointCampaign(t, "libmodbus", 1, !from, false)
+		if err := other.RestoreCheckpoint(path); err == nil {
+			t.Fatalf("restoring an adaptive=%v checkpoint into an adaptive=%v campaign succeeded", from, !from)
+		}
+	}
+}
+
 // TestCheckpointCorruptRejected: header damage (magic, version, digest)
 // and truncation anywhere must fail the restore with an error, never a
 // panic or a silent partial state.

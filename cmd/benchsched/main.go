@@ -42,54 +42,30 @@ type row struct {
 	NsPerExec    float64 `json:"ns_per_exec"`
 }
 
-func measure(name string, execs int, seed uint64, adaptive bool) (row, error) {
+// measure runs one serial Peach* engine on the named target at the given
+// budget and seed: adaptive switches the scheduler on, and sessions
+// generates sequences through the target's state model instead of
+// independent packets (the sequence-vs-single-packet comparison row).
+func measure(name string, execs int, seed uint64, adaptive, sessions bool) (row, error) {
 	tgt, err := targets.New(name)
 	if err != nil {
 		return row{}, err
 	}
-	eng, err := core.New(core.Config{
+	cfg := core.Config{
 		Models:   tgt.Models(),
 		Target:   tgt,
 		Strategy: core.StrategyPeachStar,
 		Seed:     seed,
 		Adaptive: adaptive,
-	})
-	if err != nil {
-		return row{}, err
 	}
-	start := time.Now()
-	eng.Run(execs)
-	elapsed := time.Since(start)
-	s := eng.Stats()
-	return row{
-		Edges:        s.Edges,
-		Paths:        s.Paths,
-		Corpus:       s.CorpusPuzzles,
-		Distills:     s.Distills,
-		EdgesPerMExe: float64(s.Edges) / float64(s.Execs) * 1e6,
-		NsPerExec:    float64(elapsed.Nanoseconds()) / float64(s.Execs),
-	}, nil
-}
-
-// measureSession runs the stateful-session configuration (sequence
-// generation through the target's state model, non-adaptive) at the same
-// budget and seed, for the sequence-vs-single-packet comparison row.
-func measureSession(name string, execs int, seed uint64) (row, error) {
-	tgt, err := targets.New(name)
-	if err != nil {
-		return row{}, err
+	if sessions {
+		st, ok := tgt.(targets.SessionTarget)
+		if !ok {
+			return row{}, fmt.Errorf("benchsched: target %q publishes no session state model", name)
+		}
+		cfg.Session = st.StateModel()
 	}
-	st, ok := tgt.(targets.SessionTarget)
-	if !ok {
-		return row{}, fmt.Errorf("benchsched: target %q publishes no session state model", name)
-	}
-	eng, err := core.New(core.Config{
-		Models:   tgt.Models(),
-		Target:   tgt,
-		Strategy: core.StrategyPeachStar,
-		Seed:     seed,
-		Session:  st.StateModel(),
-	})
+	eng, err := core.New(cfg)
 	if err != nil {
 		return row{}, err
 	}
@@ -126,12 +102,12 @@ func main() {
 		}
 	}
 	for _, name := range names {
-		st, err := measure(name, *execs, *seed, false)
+		st, err := measure(name, *execs, *seed, false, false)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		ad, err := measure(name, *execs, *seed, true)
+		ad, err := measure(name, *execs, *seed, true, false)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -145,14 +121,14 @@ func main() {
 	// Sequence vs single-packet on the session-capable IEC104 target: same
 	// budget and seed, session walks against independent packets. Reuses
 	// the single-packet row when IEC104 is already in the target list.
-	seqRow, err := measureSession("IEC104", *execs, *seed)
+	seqRow, err := measure("IEC104", *execs, *seed, false, true)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	singleRow, measured := results["IEC104"]
 	if !measured {
-		st, err := measure("IEC104", *execs, *seed, false)
+		st, err := measure("IEC104", *execs, *seed, false, false)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/checkpoint"
 	"repro/internal/executor"
@@ -180,9 +179,6 @@ func (f *Fleet) RestoreCheckpoint(data []byte, digest uint64) error {
 		}
 		p := f.peers[i]
 		p.pushed, p.pulled, p.crashesSeen = pm[i].pushed, pm[i].pulled, pm[i].crashesSeen
-		if w.sched.on {
-			atomic.StoreInt32(&f.adaptive, 1)
-		}
 	}
 	// Settle the published counters so StatsApprox and ExecsApprox are
 	// exact immediately after the restore.
@@ -210,7 +206,7 @@ func (e *Engine) snapshot(w *checkpoint.Writer) {
 	w.Int(e.semPaths)
 	w.Int(e.baseExecs)
 	w.Int(e.basePaths)
-	e.virgin.v.Snapshot(w)
+	e.virgin.Snapshot(w)
 	e.corp.Snapshot(w)
 	e.crashes.Snapshot(w)
 
@@ -303,7 +299,7 @@ func (e *Engine) restore(r *checkpoint.Reader) error {
 	// stored count net of the live backend's current figure.
 	e.restartsAccum = restarts - (e.execRestarts() - e.restartsAccum)
 
-	if err := e.virgin.v.Restore(r); err != nil {
+	if err := e.virgin.Restore(r); err != nil {
 		return err
 	}
 	if err := e.corp.Restore(r); err != nil {
@@ -364,10 +360,14 @@ func (e *Engine) restore(r *checkpoint.Reader) error {
 		}
 	}
 
-	if r.Bool() {
-		if !e.sched.on {
-			e.enableAdaptive()
-		}
+	adaptive := r.Bool()
+	if r.Err() != nil {
+		return r.Err()
+	}
+	if adaptive != e.sched.on {
+		return fmt.Errorf("core: checkpoint adaptive scheduler is %v but campaign's is %v", adaptive, e.sched.on)
+	}
+	if adaptive {
 		if err := e.sched.restore(r, len(e.cfg.Models), len(e.muts)); err != nil {
 			return err
 		}

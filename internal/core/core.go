@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"repro/internal/corpus"
+	"repro/internal/coverage"
 	"repro/internal/crash"
 	"repro/internal/datamodel"
 	"repro/internal/executor"
@@ -171,7 +172,7 @@ type Engine struct {
 	// TargetRestarts survives the session restoring the in-process
 	// backend.
 	restartsAccum int
-	virgin        *virginState
+	virgin        *coverage.Virgin
 	corp          *corpus.Corpus
 	crashes       *crash.Bank
 	muts          []mutator.Mutator //peachstar:nosnap mutator suite is construction wiring
@@ -235,7 +236,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		r:        rng.New(cfg.Seed),
 		exec:     ex,
-		virgin:   newVirginState(),
+		virgin:   coverage.NewVirgin(),
 		corp:     corpus.New(cfg.CorpusPerSig),
 		crashes:  crash.NewBank(),
 		muts:     mutator.Suite(),

@@ -391,7 +391,7 @@ func (f *Fleet) StatsApprox() Stats {
 	}
 	s.Edges = int(atomic.LoadInt64(&f.pubEdges))
 	s.CorpusPuzzles = int(atomic.LoadInt64(&f.pubCorpus))
-	if f.Adaptive() {
+	if f.workers[0].Adaptive() {
 		ms := make([]MutatorStat, len(f.workers[0].muts))
 		for i, m := range f.workers[0].muts {
 			ms[i].Name = m.Name()

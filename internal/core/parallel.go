@@ -71,10 +71,6 @@ type Fleet struct {
 	// in flight.
 	pubEdges  int64
 	pubCorpus int64
-	// adaptive is 1 when the workers run the adaptive scheduler; atomic so
-	// StatsApprox can gate on it from any goroutine after a mid-campaign
-	// EnableAdaptive.
-	adaptive int32
 }
 
 // workerPeer adapts one worker engine to the SyncPeer merge path. It holds
@@ -111,8 +107,8 @@ type workerPeer struct {
 	// mutTrialsPub/mutHitsPub/distillsPub publish the worker's adaptive
 	// scheduler accounting (suite-indexed lifetime trials and hits, and
 	// the distillation count) the same way as the counters above. The
-	// slices are always allocated so a mid-campaign EnableAdaptive needs
-	// no resizing; they stay zero when the scheduler is off.
+	// slices are allocated for every fleet and stay zero when the
+	// scheduler is off.
 	mutTrialsPub []int64
 	mutHitsPub   []int64
 	distillsPub  int64
@@ -132,8 +128,8 @@ type workerPeer struct {
 func (p *workerPeer) Exchange(virgin *coverage.Virgin, corp *corpus.Corpus, crashes *crash.Bank) error {
 	w := p.w
 	atomic.StoreInt64(&p.execsPub, int64(w.stats.Execs))
-	virgin.MergeVirgin(w.virgin.v)
-	w.virgin.v.MergeVirgin(virgin)
+	virgin.MergeVirgin(w.virgin)
+	w.virgin.MergeVirgin(virgin)
 	_, p.pushed = corp.MergeJournal(w.corp, p.pushed)
 	w.corp.AdvancePeer(p.selfID, p.pushed)
 	w.corp.CompactJournal()
@@ -190,27 +186,8 @@ func NewFleet(cfg Config, pcfg ParallelConfig) (*Fleet, error) {
 			mutHitsPub:   make([]int64, len(eng.muts)),
 		})
 	}
-	if cfg.Adaptive {
-		atomic.StoreInt32(&f.adaptive, 1)
-	}
 	return f, nil
 }
-
-// EnableAdaptive switches every worker's adaptive scheduler on (see
-// sched.go); idempotent, and a no-op for campaigns built with
-// Config.Adaptive. Must not be called while a Drive is in flight. Enabling
-// mid-campaign is permanent: seeds retained before the switch carry no
-// edge lists and are scored minimally until re-discovered.
-func (f *Fleet) EnableAdaptive() {
-	for _, w := range f.workers {
-		w.enableAdaptive()
-	}
-	atomic.StoreInt32(&f.adaptive, 1)
-}
-
-// Adaptive reports whether the fleet's workers run the adaptive scheduler.
-// Safe to call from any goroutine.
-func (f *Fleet) Adaptive() bool { return atomic.LoadInt32(&f.adaptive) == 1 }
 
 // State exposes the fleet's shared campaign state, the attachment point for
 // the network transport: a fleetnet hub serves it to remote leaves, a
@@ -360,11 +337,8 @@ func (f *Fleet) Stats() Stats {
 			s.StatesReached++
 		}
 	}
-	if f.Adaptive() {
+	if f.workers[0].Adaptive() {
 		for _, w := range f.workers {
-			if !w.sched.on {
-				continue
-			}
 			s.Distills += w.sched.distills
 			ms := w.mutatorStats()
 			if s.MutatorStats == nil {
@@ -380,7 +354,7 @@ func (f *Fleet) Stats() Stats {
 	st := f.state
 	st.mu.Lock()
 	for _, w := range f.workers {
-		st.virgin.MergeVirgin(w.virgin.v)
+		st.virgin.MergeVirgin(w.virgin)
 		st.corp.MergeFrom(w.corp)
 	}
 	s.Edges = st.virgin.Edges()

@@ -118,7 +118,7 @@ func TestParallelCoverageExchange(t *testing.T) {
 
 	shared := f.state.Edges()
 	for i, w := range f.workers {
-		if we := w.virgin.v.Edges(); we > shared {
+		if we := w.virgin.Edges(); we > shared {
 			t.Fatalf("worker %d knows %d edges, shared union only %d", i, we, shared)
 		}
 	}

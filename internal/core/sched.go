@@ -173,12 +173,8 @@ type scheduler struct {
 }
 
 // enableAdaptive switches the engine's adaptive scheduler on, sizing the
-// accounting tables; idempotent. Must not be called while the engine is
-// being driven.
+// accounting tables. Called once, by New, for Config.Adaptive.
 func (e *Engine) enableAdaptive() {
-	if e.sched.on {
-		return
-	}
 	nm, nmut := len(e.cfg.Models), len(e.muts)
 	s := &e.sched
 	s.on = true
@@ -318,8 +314,8 @@ func (e *Engine) refreshScores() {
 		q := e.valuable[name]
 		for i := range q {
 			if len(q[i].edges) == 0 {
-				// A seed retained before the sidecar existed (scheduler
-				// enabled mid-campaign): keep it drawable, minimally.
+				// A seed with no recorded edges: keep it drawable,
+				// minimally.
 				q[i].score = 1
 				continue
 			}

@@ -2,22 +2,9 @@ package core
 
 import (
 	"repro/internal/corpus"
-	"repro/internal/coverage"
 	"repro/internal/datamodel"
 	"repro/internal/rng"
 )
-
-// virginState wraps the campaign coverage accumulator so the engine file
-// stays strategy-focused.
-type virginState struct {
-	v *coverage.Virgin
-}
-
-func newVirginState() *virginState { return &virginState{v: coverage.NewVirgin()} }
-
-func (s *virginState) Merge(raw []byte) bool               { return s.v.Merge(raw) }
-func (s *virginState) MergeTracer(t *coverage.Tracer) bool { return s.v.MergeTracer(t) }
-func (s *virginState) Edges() int                          { return s.v.Edges() }
 
 // render serializes the working instance into an arena-backed buffer
 // pre-sized by Len — the zero-allocation JOINT. The seed lives until the

@@ -268,6 +268,9 @@ func (m *Model) Validate() error {
 			if c.Size < Variable {
 				return fmt.Errorf("datamodel: %s %q has invalid size %d", c.Kind, c.Name, c.Size)
 			}
+			if c.MinSize < 0 || c.MaxSize < 0 {
+				return fmt.Errorf("datamodel: %s %q has negative size bounds [%d, %d]", c.Kind, c.Name, c.MinSize, c.MaxSize)
+			}
 			if c.Size == Variable && c.MaxSize != 0 && c.MaxSize < c.MinSize {
 				return fmt.Errorf("datamodel: %s %q max size < min size", c.Kind, c.Name)
 			}

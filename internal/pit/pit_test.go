@@ -100,25 +100,31 @@ func TestParsedLegalSet(t *testing.T) {
 	}
 }
 
+// parseErrorDocs are malformed documents every parse entry point must
+// reject with an error; FuzzParseDocument seeds from them too.
+var parseErrorDocs = map[string]string{
+	"not xml":          `<<<`,
+	"no models":        `<Pit></Pit>`,
+	"unnamed model":    `<Pit><DataModel><Number name="a" size="8"/></DataModel></Pit>`,
+	"bad number size":  `<Pit><DataModel name="m"><Number name="a" size="12"/></DataModel></Pit>`,
+	"bad legal":        `<Pit><DataModel name="m"><Number name="a" size="8" legal="x"/></DataModel></Pit>`,
+	"unknown element":  `<Pit><DataModel name="m"><Widget name="a"/></DataModel></Pit>`,
+	"bad relation":     `<Pit><DataModel name="m"><Number name="a" size="8"><Relation type="zap" of="a"/></Number></DataModel></Pit>`,
+	"relation no of":   `<Pit><DataModel name="m"><Number name="a" size="8"><Relation type="size"/></Number></DataModel></Pit>`,
+	"unknown fixup":    `<Pit><DataModel name="m"><Number name="a" size="8"><Fixup class="Magic" over="a"/></Number></DataModel></Pit>`,
+	"fixup no over":    `<Pit><DataModel name="m"><Number name="a" size="8"><Fixup class="Crc32" over=""/></Number></DataModel></Pit>`,
+	"dangling rel":     `<Pit><DataModel name="m"><Number name="a" size="8"><Relation type="size" of="ghost"/></Number></DataModel></Pit>`,
+	"bad hex":          `<Pit><DataModel name="m"><Blob name="a" size="2" value="zz"/></DataModel></Pit>`,
+	"array two proto":  `<Pit><DataModel name="m"><Array name="a"><Number name="x" size="8"/><Number name="y" size="8"/></Array></DataModel></Pit>`,
+	"top-level fixup":  `<Pit><DataModel name="m"><Fixup class="Crc32" over="x"/></DataModel></Pit>`,
+	"bad blob minsize": `<Pit><DataModel name="m"><Blob name="a" minSize="q"/></DataModel></Pit>`,
+	// A negative bound used to validate and then panic in generation.
+	"negative minsize": `<Pit><DataModel name="m"><Blob name="a" minSize="-100"/></DataModel></Pit>`,
+	"negative maxsize": `<Pit><DataModel name="m"><String name="a" minSize="-100" maxSize="-2"/></DataModel></Pit>`,
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := map[string]string{
-		"not xml":          `<<<`,
-		"no models":        `<Pit></Pit>`,
-		"unnamed model":    `<Pit><DataModel><Number name="a" size="8"/></DataModel></Pit>`,
-		"bad number size":  `<Pit><DataModel name="m"><Number name="a" size="12"/></DataModel></Pit>`,
-		"bad legal":        `<Pit><DataModel name="m"><Number name="a" size="8" legal="x"/></DataModel></Pit>`,
-		"unknown element":  `<Pit><DataModel name="m"><Widget name="a"/></DataModel></Pit>`,
-		"bad relation":     `<Pit><DataModel name="m"><Number name="a" size="8"><Relation type="zap" of="a"/></Number></DataModel></Pit>`,
-		"relation no of":   `<Pit><DataModel name="m"><Number name="a" size="8"><Relation type="size"/></Number></DataModel></Pit>`,
-		"unknown fixup":    `<Pit><DataModel name="m"><Number name="a" size="8"><Fixup class="Magic" over="a"/></Number></DataModel></Pit>`,
-		"fixup no over":    `<Pit><DataModel name="m"><Number name="a" size="8"><Fixup class="Crc32" over=""/></Number></DataModel></Pit>`,
-		"dangling rel":     `<Pit><DataModel name="m"><Number name="a" size="8"><Relation type="size" of="ghost"/></Number></DataModel></Pit>`,
-		"bad hex":          `<Pit><DataModel name="m"><Blob name="a" size="2" value="zz"/></DataModel></Pit>`,
-		"array two proto":  `<Pit><DataModel name="m"><Array name="a"><Number name="x" size="8"/><Number name="y" size="8"/></Array></DataModel></Pit>`,
-		"top-level fixup":  `<Pit><DataModel name="m"><Fixup class="Crc32" over="x"/></DataModel></Pit>`,
-		"bad blob minsize": `<Pit><DataModel name="m"><Blob name="a" minSize="q"/></DataModel></Pit>`,
-	}
-	for name, doc := range cases {
+	for name, doc := range parseErrorDocs {
 		if _, err := ParseString(doc); err == nil {
 			t.Errorf("%s: expected error", name)
 		}

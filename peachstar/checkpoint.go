@@ -55,9 +55,9 @@ func (c *Campaign) Checkpoint(path string) error {
 // RestoreCheckpoint overwrites the campaign's state with a checkpoint file
 // written by Checkpoint or a CheckpointPath session — the warm-restart
 // entry point. The campaign must have been built with the same target,
-// models and worker count as the one that wrote the checkpoint (the file
-// carries the model digest and worker count, and restore refuses a
-// mismatch), and must be quiescent. A failed restore may leave the
+// models, worker count and Options.Adaptive as the one that wrote the
+// checkpoint (the file carries the model digest, worker count and
+// scheduler mode, and restore refuses a mismatch), and must be quiescent. A failed restore may leave the
 // campaign partially overwritten; discard it and build a fresh one.
 //
 // A restored campaign continues exactly where the checkpoint was taken:

@@ -76,7 +76,7 @@ type CrashEvent struct {
 func (CrashEvent) event() {}
 
 // DistillEvent reports one corpus distillation of an adaptive campaign
-// (Options.Adaptive / RunConfig.Adaptive): a worker computed the greedy
+// (Options.Adaptive): a worker computed the greedy
 // minimal covering set over its tracked valuable seeds' edge sets and
 // pruned the puzzles of the seeds outside the cover. Emitted at the end
 // of the merge window in which the distillation ran.

@@ -23,9 +23,9 @@ type FaultKind = mem.FaultKind
 
 // ExecBackend selects the execution backend of one session
 // (RunConfig.Exec): where a generated packet is actually run. Build one
-// with WithProcTarget or WithProcOptions; a nil ExecBackend means the
-// default in-process sandbox, which is bit-for-bit identical to every
-// campaign that predates the backends.
+// with WithProcOptions; a nil ExecBackend means the default in-process
+// sandbox, which is bit-for-bit identical to every campaign that predates
+// the backends.
 type ExecBackend interface {
 	// build materializes the backend for a campaign.
 	build(c *Campaign) (executor.Executor, error)
@@ -40,16 +40,6 @@ type ProcOptions struct {
 	// send+receive round may take before the target is declared hung and
 	// its process group is killed (0 = executor default, 200ms).
 	ExecTimeout time.Duration
-	// SpawnTimeout bounds how long a freshly spawned target has to start
-	// accepting connections (0 = executor default, 10s).
-	SpawnTimeout time.Duration
-	// MaxJournal caps the reproducer journal; reaching it restarts the
-	// target preventively so reproducers stay bounded and anchored at a
-	// fresh process state (0 = executor default, 512 packets).
-	MaxJournal int
-	// Seed seeds the connect-retry backoff jitter (0 = derived from the
-	// campaign seed).
-	Seed uint64
 	// TargetStderr, when non-nil, receives the target's stderr (crash
 	// banners); nil discards it.
 	TargetStderr *os.File
@@ -58,15 +48,16 @@ type ProcOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// WithProcTarget returns an execution backend that spawns the given
-// command as the target process and fuzzes it over TCP at addr. The
-// literal substring "{addr}" in any argument is replaced with addr, so one
-// value spells both where the server listens and where the fuzzer
-// connects:
+// WithProcOptions returns an execution backend that spawns the given
+// command as the target process and fuzzes it at addr (over TCP unless
+// opts.Net says otherwise). The literal substring "{addr}" in any argument
+// is replaced with addr, so one value spells both where the server listens
+// and where the fuzzer connects:
 //
 //	run, _ := campaign.Start(ctx, peachstar.RunConfig{
 //		Execs: 100000,
-//		Exec:  peachstar.WithProcTarget([]string{"./server", "-listen", "{addr}"}, "127.0.0.1:1502"),
+//		Exec: peachstar.WithProcOptions([]string{"./server", "-listen", "{addr}"},
+//			"127.0.0.1:1502", peachstar.ProcOptions{}),
 //	})
 //
 // The session owns the process: it is spawned (with a liveness probe) when
@@ -75,22 +66,14 @@ type ProcOptions struct {
 // Crashes are classified by exit status and each ships with a replayable
 // packet-sequence reproducer (CrashRecord.Sequence; verify with
 // ReplayCrash). A process-backed session requires Options.Workers <= 1.
-func WithProcTarget(cmd []string, addr string) ExecBackend {
-	return WithProcOptions(cmd, addr, ProcOptions{})
-}
-
-// WithProcOptions is WithProcTarget with explicit tuning.
 func WithProcOptions(cmd []string, addr string, opts ProcOptions) ExecBackend {
 	return procBackend{cfg: executor.ProcConfig{
-		Cmd:          cmd,
-		Addr:         addr,
-		Net:          opts.Net,
-		ExecTimeout:  opts.ExecTimeout,
-		SpawnTimeout: opts.SpawnTimeout,
-		MaxJournal:   opts.MaxJournal,
-		Seed:         opts.Seed,
-		Stderr:       opts.TargetStderr,
-		Logf:         opts.Logf,
+		Cmd:         cmd,
+		Addr:        addr,
+		Net:         opts.Net,
+		ExecTimeout: opts.ExecTimeout,
+		Stderr:      opts.TargetStderr,
+		Logf:        opts.Logf,
 	}}
 }
 
@@ -101,11 +84,9 @@ type procBackend struct {
 
 func (p procBackend) build(c *Campaign) (executor.Executor, error) {
 	cfg := p.cfg
-	if cfg.Seed == 0 {
-		// Jitter from the campaign seed, displaced so the retry stream
-		// never aliases the fuzzing streams.
-		cfg.Seed = c.cfg.Seed ^ 0x9e3779b97f4a7c15
-	}
+	// Jitter from the campaign seed, displaced so the retry stream never
+	// aliases the fuzzing streams.
+	cfg.Seed = c.cfg.Seed ^ 0x9e3779b97f4a7c15
 	return executor.NewProc(cfg)
 }
 
@@ -136,15 +117,13 @@ type ReplayResult struct {
 func ReplayCrash(b ExecBackend, rec *CrashRecord) (ReplayResult, error) {
 	pb, ok := b.(procBackend)
 	if !ok {
-		return ReplayResult{}, fmt.Errorf("peachstar: ReplayCrash needs a WithProcTarget backend")
+		return ReplayResult{}, fmt.Errorf("peachstar: ReplayCrash needs a WithProcOptions backend")
 	}
 	if rec == nil || len(rec.Sequence) == 0 {
 		return ReplayResult{}, fmt.Errorf("peachstar: record has no reproducer sequence")
 	}
 	cfg := pb.cfg
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
+	cfg.Seed = 1
 	// Honor recorded session boundaries: handshake steps re-run against
 	// fresh per-connection server state (sequence numbers regenerate)
 	// instead of a byte-blind replay down one connection.

@@ -73,10 +73,6 @@ func (c *Campaign) JoinMesh(opts MeshOptions) (*MeshNode, error) {
 // without one.
 func (m *MeshNode) Addr() string { return m.mesh.Addr() }
 
-// AddPeer adds one peer address at runtime (kept permanently, like a
-// configured peer); the next sync window dials it.
-func (m *MeshNode) AddPeer(addr string) { m.mesh.AddPeer(addr) }
-
 // Sync runs one merge window with every linked peer: push local
 // discoveries, pull theirs. Safe to call between sessions; individual
 // link failures reset only that link's session, and the first error is
@@ -101,7 +97,7 @@ func (m *MeshNode) Close() error { return m.mesh.Close() }
 
 // Attachment adapts a live mesh node into a session attachment: the
 // session runs the node's sync rounds but does not close it, so the
-// caller keeps the handle (Addr, PeerStats, AddPeer) across sessions.
+// caller keeps the handle (Addr, PeerStats) across sessions.
 func (m *MeshNode) Attachment() Attachment { return m }
 
 func (m *MeshNode) attach(*Campaign) (*MeshNode, bool, error) { return m, false, nil }

@@ -154,9 +154,6 @@ type Options struct {
 	// Seed makes the campaign reproducible; equal options and seed give
 	// byte-identical campaigns.
 	Seed uint64
-	// MaxBatch bounds the per-iteration donor product materialization
-	// (0 = engine default).
-	MaxBatch int
 	// Workers shards each session across this many parallel worker
 	// engines. 0 and 1 both mean serial, which is bit-for-bit identical
 	// to a campaign created before this option existed. Each worker owns
@@ -235,7 +232,6 @@ func NewCampaign(opts Options) (*Campaign, error) {
 		Target:   opts.Target,
 		Strategy: opts.Strategy,
 		Seed:     opts.Seed,
-		MaxBatch: opts.MaxBatch,
 		Adaptive: opts.Adaptive,
 		Session:  sm,
 	}
@@ -321,17 +317,11 @@ func TargetNames() []string { return targets.Names() }
 // ParsePit reads an XML Pit format specification into data models.
 func ParsePit(r io.Reader) ([]*Model, error) { return pit.Parse(r) }
 
-// ParsePitString is ParsePit over an in-memory document.
-func ParsePitString(s string) ([]*Model, error) { return pit.ParseString(s) }
-
 // ParsePitDocument reads an XML Pit specification into both halves: the
 // data models and any <StateModel> session state machines referencing
 // them. Feed a parsed state machine to Options.StateModel for a session
 // campaign over the document's models.
 func ParsePitDocument(r io.Reader) (*PitDocument, error) { return pit.ParseDocument(r) }
-
-// ParsePitDocumentString is ParsePitDocument over an in-memory document.
-func ParsePitDocumentString(s string) (*PitDocument, error) { return pit.ParseDocumentString(s) }
 
 // Blocks pre-computes n deterministic instrumentation block IDs for a named
 // region of a custom target (cf. DESIGN.md §2.2 on the instrumentation

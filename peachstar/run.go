@@ -28,12 +28,15 @@ const DefaultSyncEvery = 4 * core.DefaultMergeEvery
 // StatsEvents on a run's event stream.
 const DefaultStatsEvery = 4 * core.DefaultMergeEvery
 
-// DefaultEventBuffer is the default capacity of a run's event channel.
-const DefaultEventBuffer = 256
+// eventBuffer is the capacity of a run's event channel: room for a
+// burst of window events, so a consumer that drains the stream while
+// the run is live loses none; a full buffer drops the oldest non-crash
+// event (see Run.Events).
+const eventBuffer = 256
 
-// DefaultRelayEvery is the default wall-clock cadence of a RelayOnly
-// session's sync rounds (a relay has no execution count to pace by).
-const DefaultRelayEvery = 5 * time.Second
+// relayEvery is the wall-clock cadence of a RelayOnly session's sync
+// rounds (a relay has no execution count to pace by).
+const relayEvery = 5 * time.Second
 
 // RunConfig configures one campaign session started with Campaign.Start.
 // The zero value is valid and means: fuzz with no execution or time bound
@@ -46,11 +49,8 @@ type RunConfig struct {
 	// campaign with a second session reuses the same scale). 0 means no
 	// execution bound.
 	Execs int
-	// Deadline, when non-zero, stops the session at that wall-clock
-	// instant, checked before every engine step.
-	Deadline time.Time
-	// Duration, when positive and Deadline is zero, is a relative
-	// deadline of Start-time + Duration.
+	// Duration, when positive, is a relative deadline of Start-time +
+	// Duration, checked before every engine step.
 	Duration time.Duration
 	// SyncEvery is the number of local executions between mesh sync
 	// rounds when the session has attachments (0 = DefaultSyncEvery).
@@ -60,11 +60,6 @@ type RunConfig struct {
 	// on the event stream (0 = DefaultStatsEvery; negative disables
 	// periodic stats, leaving only the final one).
 	StatsEvery int
-	// EventBuffer is the event channel's capacity
-	// (0 = DefaultEventBuffer). When the buffer is full the oldest
-	// event is dropped — except crashes, which evict older events
-	// instead. See Run.Events.
-	EventBuffer int
 	// Attach lists the session's mesh attachments: a node built for the
 	// session (WithMesh), or an existing MeshNode handle driven through
 	// its Attachment method. MeshOptions express every role — a hub is
@@ -75,23 +70,13 @@ type RunConfig struct {
 	Attach []Attachment
 	// RelayOnly makes the session execute nothing itself: the workers
 	// stay idle while the session serves its attachments — accepting
-	// peers and relaying fleet state between them every RelayEvery —
+	// peers and relaying fleet state between them every five seconds —
 	// until the context ends, Stop is called, or the deadline passes.
 	// For aggregator hubs and pure mesh relays.
 	RelayOnly bool
-	// RelayEvery is the wall-clock cadence of a RelayOnly session's
-	// sync-and-report rounds (0 = DefaultRelayEvery). Ignored unless
-	// RelayOnly is set.
-	RelayEvery time.Duration
-	// Adaptive switches the campaign's adaptive scheduler on before the
-	// session starts (see Options.Adaptive) — for enabling it on a later
-	// session of a campaign built without it. Enabling is permanent for
-	// the campaign; false leaves the campaign's current mode unchanged
-	// (it never switches the scheduler back off).
-	Adaptive bool
 	// Exec selects the session's execution backend: nil (the default)
 	// fuzzes the campaign's in-process target exactly as always, while
-	// WithProcTarget spawns and supervises a real server process for the
+	// WithProcOptions spawns and supervises a real server process for the
 	// lifetime of the session — the campaign's coverage, corpus and crash
 	// state carry across backend boundaries, so an in-process warmup
 	// session can precede a real-target one. Process-backed sessions
@@ -146,6 +131,8 @@ type Run struct {
 	cfg   RunConfig
 	ctx   context.Context
 	start time.Time
+	// deadline is Start-time + RunConfig.Duration (zero: no deadline).
+	deadline time.Time
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -203,28 +190,14 @@ func (c *Campaign) Start(ctx context.Context, cfg RunConfig) (*Run, error) {
 	if !atomic.CompareAndSwapInt32(&c.running, 0, 1) {
 		return nil, fmt.Errorf("peachstar: campaign already has a session in flight")
 	}
-	if cfg.Deadline.IsZero() && cfg.Duration > 0 {
-		cfg.Deadline = time.Now().Add(cfg.Duration)
-	}
 	if cfg.SyncEvery <= 0 {
 		cfg.SyncEvery = DefaultSyncEvery
 	}
 	if cfg.StatsEvery == 0 {
 		cfg.StatsEvery = DefaultStatsEvery
 	}
-	if cfg.EventBuffer <= 0 {
-		cfg.EventBuffer = DefaultEventBuffer
-	}
-	if cfg.RelayEvery <= 0 {
-		cfg.RelayEvery = DefaultRelayEvery
-	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = DefaultCheckpointEvery
-	}
-	if cfg.Adaptive {
-		// Safe here: the one-session invariant holds (CAS above) and the
-		// fleet is quiescent until loop() starts driving it.
-		c.fleet.EnableAdaptive()
 	}
 	r := &Run{
 		c:         c,
@@ -233,9 +206,12 @@ func (c *Campaign) Start(ctx context.Context, cfg RunConfig) (*Run, error) {
 		start:     time.Now(),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
-		events:    make(chan Event, cfg.EventBuffer),
+		events:    make(chan Event, eventBuffer),
 		statsNext: int64(cfg.StatsEvery),
 		crashSeen: make(map[string]bool),
+	}
+	if cfg.Duration > 0 {
+		r.deadline = r.start.Add(cfg.Duration)
 	}
 	if cfg.StatsEvery < 0 {
 		r.statsNext = int64(^uint64(0) >> 2) // periodic stats disabled
@@ -300,9 +276,10 @@ func (r *Run) Done() <-chan struct{} { return r.done }
 // merge-window granularity and closed when the session ends. The stream
 // observes the campaign; it never perturbs it: events are produced
 // without blocking the fuzzing loop, and when a slow consumer lets the
-// buffer fill, the oldest events are dropped — except CrashEvents, which
-// are always retained (older events are evicted to make room). Consume
-// promptly (or not at all: an unread stream costs one fixed buffer).
+// 256-event buffer fill, the oldest events are dropped — except
+// CrashEvents, which are always retained (older events are evicted to
+// make room). Consume promptly (or not at all: an unread stream costs one
+// fixed buffer).
 func (r *Run) Events() <-chan Event { return r.events }
 
 // Snapshot returns the campaign's progress without stopping it — safe to
@@ -344,7 +321,7 @@ func (r *Run) loop() {
 	case r.cfg.RelayOnly:
 		syncErr = r.relayLoop()
 	case len(r.nodes) == 0 && r.cfg.CheckpointPath == "":
-		r.c.fleet.Drive(r.stop, core.Budget{Execs: r.cfg.Execs, Deadline: r.cfg.Deadline}, r.windowHook)
+		r.c.fleet.Drive(r.stop, core.Budget{Execs: r.cfg.Execs, Deadline: r.deadline}, r.windowHook)
 	default:
 		syncErr = r.syncedLoop()
 	}
@@ -391,7 +368,7 @@ func (r *Run) budgetDone() bool {
 	if r.cfg.Execs > 0 && r.c.fleet.Execs() >= r.cfg.Execs {
 		return true
 	}
-	if !r.cfg.Deadline.IsZero() && !time.Now().Before(r.cfg.Deadline) {
+	if !r.deadline.IsZero() && !time.Now().Before(r.deadline) {
 		return true
 	}
 	return false
@@ -417,7 +394,7 @@ func (r *Run) syncedLoop() error {
 		nextCkpt = (fleet.Execs()/r.cfg.CheckpointEvery + 1) * r.cfg.CheckpointEvery
 	}
 	for !r.spent() {
-		window := core.Budget{Execs: fleet.Execs() + r.cfg.SyncEvery, Deadline: r.cfg.Deadline}
+		window := core.Budget{Execs: fleet.Execs() + r.cfg.SyncEvery, Deadline: r.deadline}
 		if ckpt && nextCkpt < window.Execs {
 			window.Execs = nextCkpt
 		}
@@ -454,19 +431,19 @@ func (r *Run) syncedLoop() error {
 }
 
 // relayLoop serves attachments without fuzzing: one sync-and-report round
-// per RelayEvery tick until the session is stopped or its deadline
+// per relayEvery tick until the session is stopped or its deadline
 // passes. Like syncedLoop, a graceful end gets a final flush — a relay
 // stopped right after absorbing a peer's push must hand it onward before
 // shutting down — while a context cancellation skips it.
 func (r *Run) relayLoop() error {
-	tick := time.NewTicker(r.cfg.RelayEvery)
+	tick := time.NewTicker(relayEvery)
 	defer tick.Stop()
 	// The deadline gets its own wake-up: a relay sleeping out a long
-	// RelayEvery period must still stop at the configured wall-clock
+	// relayEvery period must still stop at the configured wall-clock
 	// instant, not at the next tick after it.
 	var deadlineCh <-chan time.Time
-	if !r.cfg.Deadline.IsZero() {
-		deadline := time.NewTimer(time.Until(r.cfg.Deadline))
+	if !r.deadline.IsZero() {
+		deadline := time.NewTimer(time.Until(r.deadline))
 		defer deadline.Stop()
 		deadlineCh = deadline.C
 	}
@@ -512,7 +489,7 @@ func (r *Run) spent() bool {
 	if r.cfg.Execs > 0 && r.c.fleet.Execs() >= r.cfg.Execs {
 		return true
 	}
-	if !r.cfg.Deadline.IsZero() && !time.Now().Before(r.cfg.Deadline) {
+	if !r.deadline.IsZero() && !time.Now().Before(r.deadline) {
 		return true
 	}
 	return false

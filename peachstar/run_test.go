@@ -33,7 +33,7 @@ func collectEvents(r *Run) (stats []StatsEvent, cov []NewCoverageEvent, crashes 
 // campaign banks — the stream is the campaign, observed.
 func TestStartDeliversTypedEvents(t *testing.T) {
 	c := newTestCampaign(t, Options{Strategy: PeachStar, Seed: 11})
-	r, err := c.Start(context.Background(), RunConfig{Execs: 15000, EventBuffer: 4096})
+	r, err := c.Start(context.Background(), RunConfig{Execs: 15000})
 	if err != nil {
 		t.Fatal(err)
 	}

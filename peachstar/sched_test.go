@@ -11,7 +11,7 @@ import (
 // per-mutator accounting.
 func TestAdaptiveSessionDeliversDistillEvents(t *testing.T) {
 	c := newTestCampaign(t, Options{Strategy: PeachStar, Seed: 4, Adaptive: true})
-	r, err := c.Start(context.Background(), RunConfig{Execs: 40000, EventBuffer: 4096})
+	r, err := c.Start(context.Background(), RunConfig{Execs: 40000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestAdaptiveSessionDeliversDistillEvents(t *testing.T) {
 // the scheduler's surface — no events, no stats fields.
 func TestAdaptiveOffNoSchedulerSurface(t *testing.T) {
 	c := newTestCampaign(t, Options{Strategy: PeachStar, Seed: 4})
-	r, err := c.Start(context.Background(), RunConfig{Execs: 5000, EventBuffer: 1024})
+	r, err := c.Start(context.Background(), RunConfig{Execs: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,42 +72,5 @@ func TestAdaptiveOffNoSchedulerSurface(t *testing.T) {
 	s := c.Stats()
 	if s.MutatorStats != nil || s.Distills != 0 {
 		t.Fatalf("non-adaptive stats carry scheduler state: %+v", s)
-	}
-}
-
-// TestAdaptiveRunConfigUpgrade: RunConfig.Adaptive switches an existing
-// campaign's scheduler on at session start — and the upgrade is sticky for
-// later sessions, as documented.
-func TestAdaptiveRunConfigUpgrade(t *testing.T) {
-	c := newTestCampaign(t, Options{Strategy: PeachStar, Seed: 9})
-	r, err := c.Start(context.Background(), RunConfig{Execs: 6000, Adaptive: true, EventBuffer: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for range r.Events() {
-	}
-	if err := r.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Stats().MutatorStats) == 0 {
-		t.Fatal("RunConfig.Adaptive did not enable the scheduler")
-	}
-
-	// A follow-up session without the flag keeps the scheduler on.
-	r, err = c.Start(context.Background(), RunConfig{Execs: 12000, EventBuffer: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for range r.Events() {
-	}
-	if err := r.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	var trials uint64
-	for _, ms := range c.Stats().MutatorStats {
-		trials += ms.Trials
-	}
-	if trials == 0 {
-		t.Fatal("scheduler state did not persist across sessions")
 	}
 }

@@ -20,7 +20,7 @@ func TestSessionCampaignDeliversStateEvents(t *testing.T) {
 		t.Fatal("IEC104 target does not publish a session state model")
 	}
 	c := newTestCampaign(t, Options{Target: tgt, Strategy: PeachStar, Seed: 3, Sessions: true})
-	r, err := c.Start(context.Background(), RunConfig{Execs: 10000, EventBuffer: 4096})
+	r, err := c.Start(context.Background(), RunConfig{Execs: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
